@@ -1,7 +1,8 @@
 """Command-line front end: run circuit files, built-in demos, parameter sweeps.
 
 Exit codes follow compiler-tool convention: 0 success, 2 parse/compile/usage
-errors (diagnostics on stderr with line numbers), 1 runtime errors.  Machine
+errors (diagnostics on stderr with line numbers), 1 runtime errors and any
+unexpected exception (one line on stderr, no traceback).  Machine
 output (JSON reports, CSV sweeps) is deterministic: no timestamps, sorted
 keys, floats at 12 significant digits.
 """
@@ -47,28 +48,28 @@ def _round_floats(obj):
 
 
 def _state_json(state: StateVector | None) -> list[dict] | None:
+    """Terms of a state in ket order, amplitudes already rounded."""
     if state is None:
         return None
-    out = []
-    for k, amp in state.sorted_items():
-        out.append(
-            {
-                "modes": [[m.path, m.freq_bin, n] for m, n in k.items()],
-                "re": amp.real,
-                "im": amp.imag,
-            }
-        )
-    return out
+    return [
+        {
+            "modes": [[m[0], m[1], n] for m, n in k.items()],
+            "re": _sig12(amp.real),
+            "im": _sig12(amp.imag),
+        }
+        for k, amp in state.sorted_items()
+    ]
 
 
 def _outcome_json(o: HeraldOutcome) -> dict:
-    return {
+    out = _round_floats({
         "label": o.label,
         "accepted": o.accepted,
         "probability": o.probability,
         "metrics": dict(sorted(o.metrics.items())),
-        "state": _state_json(o.conditional_state),
-    }
+    })
+    out["state"] = _state_json(o.conditional_state)
+    return out
 
 
 def _flags(outcomes: list[HeraldOutcome], bandwidth_valid: bool | None) -> dict:
@@ -87,23 +88,26 @@ def _report(
     bandwidth_valid: bool | None,
     extra: dict | None = None,
 ) -> dict:
+    """The run report with every float rounded to 12 significant digits."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "circuit": circuit,
         "convention": convention.value,
         "success_probability": success,
-        "outcomes": [_outcome_json(o) for o in outcomes],
         "metrics": dict(sorted(metrics.items())),
         "flags": _flags(outcomes, bandwidth_valid),
     }
     if extra:
         report.update(extra)
+    report = _round_floats(report)
+    # outcome states are the bulk of a report; _state_json rounds them itself
+    report["outcomes"] = [_outcome_json(o) for o in outcomes]
     return report
 
 
 def _write_json(report: dict, path: str, pretty: bool):
     indent = 2 if pretty else None
-    text = json.dumps(_round_floats(report), sort_keys=True, indent=indent,
+    text = json.dumps(report, sort_keys=True, indent=indent,
                       separators=None if pretty else (",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
@@ -150,11 +154,7 @@ def cmd_run(args) -> int:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
     convention = Convention(args.convention) if args.convention else None
-    try:
-        result = pipeline.run(convention_override=convention)
-    except SimulatorError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
+    result = pipeline.run(convention_override=convention)
     _print_pipeline_result(args.file, convention, result)
     if args.json:
         used = convention or _pipeline_convention(pipeline)
@@ -179,25 +179,24 @@ def _pipeline_convention(pipeline: Pipeline) -> Convention:
 
 
 def cmd_demo(args) -> int:
+    if not math.isfinite(args.alpha):
+        print("error: --alpha must be a finite number", file=sys.stderr)
+        return 2
     convention = Convention(args.convention)
-    try:
-        if args.name == "swap":
-            result = run_swap(alpha=args.alpha, convention=convention)
-            _print_swap(result)
-            report = _report("demo:swap", convention, result.outcomes,
-                             result.success_probability, result.metrics, None,
-                             {"alpha": result.alpha})
-        else:
-            result = run_ghz(alpha=args.alpha, convention=convention)
-            _print_ghz(result)
-            report = _report("demo:ghz", convention, result.outcomes,
-                             result.success_probability, result.metrics,
-                             result.bandwidth_valid,
-                             {"alpha": result.alpha,
-                              "per_detector": dict(sorted(result.per_detector.items()))})
-    except SimulatorError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
+    if args.name == "swap":
+        result = run_swap(alpha=args.alpha, convention=convention)
+        _print_swap(result)
+        report = _report("demo:swap", convention, result.outcomes,
+                         result.success_probability, result.metrics, None,
+                         {"alpha": result.alpha})
+    else:
+        result = run_ghz(alpha=args.alpha, convention=convention)
+        _print_ghz(result)
+        report = _report("demo:ghz", convention, result.outcomes,
+                         result.success_probability, result.metrics,
+                         result.bandwidth_valid,
+                         {"alpha": result.alpha,
+                          "per_detector": dict(sorted(result.per_detector.items()))})
     if args.json:
         _write_json(report, args.json, args.pretty)
     return 0
@@ -228,6 +227,9 @@ def _print_ghz(result: GhzResult):
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.alpha_from) and math.isfinite(args.alpha_to)):
+        print("error: --alpha-from and --alpha-to must be finite numbers", file=sys.stderr)
         return 2
     if not args.alpha_from < args.alpha_to:
         print("error: --alpha-from must be below --alpha-to", file=sys.stderr)
@@ -289,7 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SimulatorError as exc:  # parse and compile errors are handled in cmd_run
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a defect, not bad input: report it on one line
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -235,11 +235,16 @@ class _Parser:
             self.fail(line, head, f"missing required argument '{key}'")
         return args[key]
 
-    def float_value(self, line: int, tok: _Token) -> float:
+    def float_value(self, line: int, tok: _Token, positive: bool = False) -> float:
         try:
-            return float(tok.text)
+            value = float(tok.text)
         except ValueError:
             self.fail(line, tok, f"malformed number '{tok.text}'")
+        if not math.isfinite(value):
+            self.fail(line, tok, f"number must be finite, got '{tok.text}'")
+        if positive and value <= 0:
+            self.fail(line, tok, f"bandwidth must be positive, got '{tok.text}'")
+        return value
 
     def int_value(self, line: int, tok: _Token) -> int:
         try:
@@ -350,7 +355,7 @@ class _Parser:
         path = self.path_item(line, path_tok)
         self.require_declared(line, path_tok, path)
         pass_bin = self.int_value(line, self.need(line, args, "pass", head))
-        sigma = self.float_value(line, args["sigma"]) if "sigma" in args else 1.0
+        sigma = self.float_value(line, args["sigma"], positive=True) if "sigma" in args else 1.0
         self.statements.append(FilterStmt(name.text, path, pass_bin, sigma, line=line))
 
     def herald_stmt(self, line: int, tokens: list[_Token]):
@@ -386,7 +391,7 @@ class _Parser:
         if len(tokens) < 2 or tokens[1].text != "bandwidth":
             self.fail(line, head, "expected 'check bandwidth pump=FLOAT'")
         args = self.kv_args(line, tokens[2:], {"pump"})
-        pump = self.float_value(line, self.need(line, args, "pump", head))
+        pump = self.float_value(line, self.need(line, args, "pump", head), positive=True)
         self.statements.append(CheckStmt(pump, line=line))
 
     def report_stmt(self, line: int, tokens: list[_Token]):
@@ -630,6 +635,10 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
             except ValueError as exc:
                 raise CompileError(str(exc), stmt.line) from exc
         elif isinstance(stmt, CheckStmt):
+            try:
+                BandwidthCheck(stmt.pump)
+            except SpecInvariantError as exc:
+                raise CompileError(str(exc), stmt.line) from exc
             pump = stmt.pump
         elif isinstance(stmt, (ReportEntropyStmt, ReportGhzStmt, ReportOutcomesStmt)):
             if herald is None:

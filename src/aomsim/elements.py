@@ -18,9 +18,17 @@ Two phase conventions are supported:
   of each input ket back to the ket's own weight (and renormalizes the total),
   flagging the result ``non_unitary``.
 
+The lift of a mode map to multi-photon kets expands only the touched modes
+of each ket: the modes on the element's input paths, plus any occupied mode
+that an image photon could land on (so its ``sqrt(n!)`` weight stays exact).
+The untouched remainder is appended to every image ket unchanged.  Each
+:class:`ElementOp` caches the image of every touched sub-ket it has lifted,
+so a state of thousands of kets costs a handful of expansions; for that
+reason an op's ``images`` must not be mutated after its first use.
+
 Sources are two-photon emitters ``cos(a)|arm pair> + sin(a)|alt pair>``;
 filters are ideal frequency-bin projectors; physical bandwidth enters only
-through :func:`check_bandwidth`.
+through :func:`check_bandwidth`.  Every spec rejects non-finite numbers.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import SpecInvariantError, UnexpectedFrequencyError, ZeroStateError
 from .states import FockKet, ModeLabel, StateVector, normalize
@@ -64,22 +73,24 @@ class ElementOp:
     modes (tuples of ``(mode, amplitude)``).  Modes not listed pass through
     unchanged; a photon on an input *path* but with an unlisted bin is a
     wiring error.  ``literal`` marks maps that need renormalization.
+
+    The op memoises the lifted image of each touched sub-ket it has seen
+    (see :func:`apply_element`), so ``images`` must not be mutated after the
+    op's first use; build a new op instead.
     """
 
     name: str
     images: dict[ModeLabel, tuple[tuple[ModeLabel, complex], ...]]
     literal: bool = False
+    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def input_paths(self) -> frozenset[str]:
         return frozenset(m.path for m in self.images)
 
-    @property
+    @cached_property
     def output_modes(self) -> tuple[ModeLabel, ...]:
-        out: set[ModeLabel] = set()
-        for targets in self.images.values():
-            out.update(m for m, _ in targets)
-        return tuple(sorted(out))
+        return tuple(sorted({m for targets in self.images.values() for m, _ in targets}))
 
     @staticmethod
     def identity(modes: tuple[ModeLabel, ...] | list[ModeLabel]) -> ElementOp:
@@ -138,6 +149,8 @@ class SourceSpec:
         paths = {self.arms[0].path, self.arms[1].path, self.alt[0].path, self.alt[1].path}
         if len(paths) != 4:
             raise SpecInvariantError(f"{self.name}: the four source paths must be distinct")
+        if not math.isfinite(self.alpha):
+            raise SpecInvariantError(f"{self.name}: alpha must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -153,8 +166,8 @@ class FilterSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise SpecInvariantError(f"filter on {self.path}: sigma must be positive")
+        if not _positive(self.sigma):
+            raise SpecInvariantError(f"filter on {self.path}: sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -163,6 +176,16 @@ class BandwidthCheck:
 
     sigma_pump: float
     filter_sigmas: tuple[float, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if not _positive(self.sigma_pump):
+            raise SpecInvariantError("pump bandwidth must be positive and finite")
+        if not all(_positive(sig) for sig in self.filter_sigmas):
+            raise SpecInvariantError("filter bandwidths must be positive and finite")
+
+
+def _positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
 
 
 def make_aom(spec: AomSpec) -> ElementOp:
@@ -184,24 +207,25 @@ def make_aom(spec: AomSpec) -> ElementOp:
     )
 
 
-def _lift_ket(k: FockKet, op: ElementOp) -> dict[FockKet, complex]:
-    """Image of one basis ket under the bosonic lift of ``op``.
+def _lift_sub(
+    sub: tuple[tuple[ModeLabel, int], ...],
+    rest_factorials: int,
+    images: dict[ModeLabel, tuple[tuple[ModeLabel, complex], ...]],
+) -> tuple[tuple[tuple[tuple[ModeLabel, int], ...], complex], ...]:
+    """Image of the touched part ``sub`` of a ket under the bosonic lift.
 
-    Every occupied mode is expanded (identity for untouched modes), and the
-    resulting creation-operator polynomial is converted back to occupation
-    kets with the usual sqrt(n!) weights.
+    Each touched photon is expanded through its mode's image (identity for a
+    mode listed only as an output), and the creation-operator polynomial is
+    converted back to occupation pairs with the usual sqrt(n!) weights.
+    ``rest_factorials`` is prod(n!) over the untouched remainder of the ket,
+    which enters those weights as if the remainder had been expanded too, so
+    the amplitudes round exactly as a full expansion of the ket would.
     """
-    for mode, _ in k.items():
-        if mode.path in op.input_paths and mode not in op.images:
-            raise UnexpectedFrequencyError(
-                f"{op.name}: photon at {mode} on an input path, but the element "
-                f"expects bins {sorted(m.freq_bin for m in op.images if m.path == mode.path)}"
-            )
     poly: dict[tuple[ModeLabel, ...], complex] = {(): 1.0 + 0j}
-    denom = 1.0
-    for mode, n in k.items():
+    denom = float(rest_factorials)
+    for mode, n in sub:
         denom *= math.factorial(n)
-        targets = op.images.get(mode, ((mode, 1.0 + 0j),))
+        targets = images.get(mode, ((mode, 1.0 + 0j),))
         for _ in range(n):
             grown: dict[tuple[ModeLabel, ...], complex] = {}
             for mono, coeff in poly.items():
@@ -209,7 +233,7 @@ def _lift_ket(k: FockKet, op: ElementOp) -> dict[FockKet, complex]:
                     key = tuple(sorted(mono + (out_mode,)))
                     grown[key] = grown.get(key, 0j) + coeff * w
             poly = grown
-    image: dict[FockKet, complex] = {}
+    image: dict[tuple[tuple[ModeLabel, int], ...], complex] = {}
     scale = 1.0 / math.sqrt(denom)
     for mono, coeff in poly.items():
         if coeff == 0j:
@@ -217,12 +241,53 @@ def _lift_ket(k: FockKet, op: ElementOp) -> dict[FockKet, complex]:
         counts: dict[ModeLabel, int] = {}
         for m in mono:
             counts[m] = counts.get(m, 0) + 1
-        num = 1.0
+        num = float(rest_factorials)
         for c in counts.values():
             num *= math.factorial(c)
-        out_ket = FockKet(counts)
-        image[out_ket] = image.get(out_ket, 0j) + coeff * math.sqrt(num) * scale
-    return image
+        pairs = tuple(counts.items())  # sorted, since mono is
+        image[pairs] = image.get(pairs, 0j) + coeff * math.sqrt(num) * scale
+    return tuple(image.items())
+
+
+def _lift_ket(k: FockKet, op: ElementOp, outputs: frozenset[ModeLabel]
+              ) -> tuple[list[tuple[FockKet, complex]], float]:
+    """Image of one basis ket under the bosonic lift of ``op``, and its norm.
+
+    Only the touched modes are expanded: those on the op's input paths, plus
+    any occupied mode among ``outputs`` (the op's output modes), whose count
+    an image photon could raise.  The touched sub-ket's image comes from the
+    op's cache; the untouched remainder is appended to each image ket.
+    """
+    images = op.images
+    sub: list[tuple[ModeLabel, int]] = []
+    rest: list[tuple[ModeLabel, int]] = []
+    rest_factorials = 1
+    for pair in k.pairs:
+        mode = pair[0]
+        if mode in images:
+            sub.append(pair)
+        elif mode[0] in op.input_paths:
+            raise UnexpectedFrequencyError(
+                f"{op.name}: photon at {mode} on an input path, but the element "
+                f"expects bins {sorted(m.freq_bin for m in images if m.path == mode.path)}"
+            )
+        elif mode in outputs:
+            sub.append(pair)
+        else:
+            rest.append(pair)
+            if pair[1] > 1:
+                rest_factorials *= math.factorial(pair[1])
+    key = (tuple(sub), rest_factorials)
+    lifted = op._lifted.get(key)
+    if lifted is None:
+        image = _lift_sub(key[0], rest_factorials, images)
+        norm = math.sqrt(sum(abs(c) ** 2 for _, c in image))
+        lifted = op._lifted[key] = (image, norm)
+    image, norm = lifted
+    if rest:
+        tail = tuple(rest)
+        return [(FockKet._canonical(tuple(sorted(pairs + tail))), c) for pairs, c in image], norm
+    return [(FockKet._canonical(pairs), c) for pairs, c in image], norm
 
 
 def apply_element(s: StateVector, op: ElementOp) -> StateVector:
@@ -232,17 +297,15 @@ def apply_element(s: StateVector, op: ElementOp) -> StateVector:
     input ket's image to that ket's weight, then renormalize the total, and
     the result carries ``non_unitary=True``.
     """
+    outputs = frozenset(op.output_modes)
     out: dict[FockKet, complex] = {}
     for k, amp in s.sorted_items():
-        image = _lift_ket(k, op)
-        if op.literal:
-            image_norm = math.sqrt(sum(abs(c) ** 2 for c in image.values()))
-            if image_norm > 0.0:
-                amp = amp / image_norm
-        for out_ket, coeff in image.items():
+        image, image_norm = _lift_ket(k, op, outputs)
+        if op.literal and image_norm > 0.0:
+            amp = amp / image_norm
+        for out_ket, coeff in image:
             out[out_ket] = out.get(out_ket, 0j) + amp * coeff
-    result = StateVector(out, prune_epsilon=s.prune_epsilon,
-                         non_unitary=s.non_unitary or op.literal)
+    result = StateVector(out, non_unitary=s.non_unitary or op.literal)
     if op.literal and result.terms:
         result = normalize(result)
     return result
@@ -270,8 +333,7 @@ def apply_filter(s: StateVector, f: FilterSpec) -> tuple[StateVector, float]:
         )
         if not blocked:
             survivors[k] = amp
-    surviving = StateVector(survivors, prune_epsilon=s.prune_epsilon,
-                            non_unitary=s.non_unitary)
+    surviving = StateVector(survivors, non_unitary=s.non_unitary)
     prob = surviving.norm() ** 2
     if prob == 0.0:
         raise ZeroStateError(f"filter on {f.path} (pass bin {f.pass_bin}) removed every term")

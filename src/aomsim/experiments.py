@@ -147,10 +147,15 @@ class GhzResult:
 def _pattern_components(
     s: StateVector, paths: tuple[str, ...]
 ) -> dict[tuple[int, ...], dict[FockKet, complex]]:
+    index = {p: i for i, p in enumerate(paths)}
     groups: dict[tuple[int, ...], dict[FockKet, complex]] = {}
     for k, amp in s.sorted_items():
-        pattern = tuple(k.count_on_paths({p}) for p in paths)
-        groups.setdefault(pattern, {})[k] = amp
+        counts = [0] * len(paths)
+        for mode, n in k.pairs:
+            i = index.get(mode[0])
+            if i is not None:
+                counts[i] += n
+        groups.setdefault(tuple(counts), {})[k] = amp
     return groups
 
 
@@ -169,8 +174,8 @@ def post_select(s: StateVector, rule: HeraldRule) -> list[HeraldOutcome]:
     outcomes: list[HeraldOutcome] = []
     rejected: list[tuple[tuple[int, ...], dict[FockKet, complex]]] = []
     for pattern in sorted(groups):
-        component = StateVector(dict(groups[pattern]), non_unitary=s.non_unitary)
         if rule.satisfied_by(dict(zip(paths, pattern))):
+            component = StateVector(dict(groups[pattern]), non_unitary=s.non_unitary)
             prob = component.norm() ** 2
             outcomes.append(
                 HeraldOutcome(
@@ -237,7 +242,7 @@ def restrict_to_paths(s: StateVector, keep: set[str] | frozenset[str]) -> StateV
         kept_terms[kept] = amp
     if len(rests) > 1:
         raise ValueError("state does not factor across the requested path split")
-    return StateVector(kept_terms, prune_epsilon=s.prune_epsilon, non_unitary=s.non_unitary)
+    return StateVector(kept_terms, non_unitary=s.non_unitary)
 
 
 def _combined_accepted(outcomes: list[HeraldOutcome]) -> StateVector | None:

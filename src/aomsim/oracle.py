@@ -129,8 +129,7 @@ def dense_oracle_apply(
                 if value != 0j:
                     out_amps[out_ket] = out_amps.get(out_ket, 0j) + complex(value)
 
-    result = StateVector(out_amps, prune_epsilon=s.prune_epsilon,
-                         non_unitary=s.non_unitary or op.literal)
+    result = StateVector(out_amps, non_unitary=s.non_unitary or op.literal)
     if op.literal and result.terms:
         total = result.norm()
         result = result.scaled(1.0 / total)

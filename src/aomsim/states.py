@@ -2,9 +2,12 @@
 
 A mode is a photon "slot" identified by a path name and an integer frequency
 bin: bin ``n`` stands for the optical frequency ``omega + n * delta`` on an
-implicit grid, so frequency equality is exact integer equality.  Multi-photon
-basis states are occupation maps over modes (:class:`FockKet`), and a state is
-a sparse complex-amplitude map over such kets (:class:`StateVector`).
+implicit grid, so frequency equality is exact integer equality.  A
+:class:`ModeLabel` is a ``tuple`` subclass, so it hashes, compares and sorts
+as the plain tuple ``(path, freq_bin)`` does, at C speed, and compares equal
+to that tuple.  Multi-photon basis states are occupation maps over modes
+(:class:`FockKet`), and a state is a sparse complex-amplitude map over such
+kets (:class:`StateVector`).
 
 The module also provides the linear-algebra layer used everywhere else:
 inner products, tensor products, partial traces (:func:`reduced_density`),
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -41,23 +45,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class ModeLabel:
+class ModeLabel(tuple):
     """A single-photon mode: a path name plus an integer frequency bin.
 
-    Ordering is lexicographic by ``(path, freq_bin)`` and is the canonical
-    ordering used everywhere (ket storage, iteration, serialization).
+    A mode is the tuple ``(path, freq_bin)``, so hashing, equality and
+    ordering run at C speed, and a mode compares equal to the plain tuple
+    ``(path, freq_bin)``.  Ordering is lexicographic by ``(path, freq_bin)``
+    and is the canonical ordering used everywhere (ket storage, iteration,
+    serialization).
     """
 
-    path: str
-    freq_bin: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.path:
+    def __new__(cls, path: str, freq_bin: int):
+        if not path:
             raise ValueError("mode path must be a non-empty string")
+        return tuple.__new__(cls, (path, freq_bin))
+
+    path = property(itemgetter(0), doc="Path name.")
+    freq_bin = property(itemgetter(1), doc="Integer frequency bin.")
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __str__(self) -> str:
-        return f"{self.path}@{self.freq_bin}"
+        return f"{self[0]}@{self[1]}"
+
+    def __repr__(self) -> str:
+        return f"ModeLabel(path={self[0]!r}, freq_bin={self[1]!r})"
 
 
 class FockKet:
@@ -82,6 +97,14 @@ class FockKet:
         pairs = tuple(sorted(merged.items()))
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_hash", hash(pairs))
+
+    @classmethod
+    def _canonical(cls, pairs: tuple[tuple[ModeLabel, int], ...]) -> FockKet:
+        """Wrap pairs that are already canonical: sorted, distinct modes, counts > 0."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "_pairs", pairs)
+        object.__setattr__(k, "_hash", hash(pairs))
+        return k
 
     @classmethod
     def from_modes(cls, modes: Iterable[ModeLabel]) -> FockKet:
@@ -112,9 +135,9 @@ class FockKet:
 
     def split_by_paths(self, keep: frozenset[str] | set[str]) -> tuple[FockKet, FockKet]:
         """Partition occupations into (modes on kept paths, the rest)."""
-        kept = [(m, n) for m, n in self._pairs if m.path in keep]
-        rest = [(m, n) for m, n in self._pairs if m.path not in keep]
-        return FockKet(kept), FockKet(rest)
+        kept = tuple(pair for pair in self._pairs if pair[0][0] in keep)
+        rest = tuple(pair for pair in self._pairs if pair[0][0] not in keep)
+        return FockKet._canonical(kept), FockKet._canonical(rest)
 
     def merge(self, other: FockKet) -> FockKet:
         return FockKet(self._pairs + other._pairs)
@@ -145,24 +168,17 @@ class FockKet:
 class StateVector:
     """Sparse state: map from :class:`FockKet` to complex amplitude.
 
-    ``prune_epsilon`` drops terms with magnitude at or below the threshold at
-    construction time; the default 0.0 keeps everything except exact zeros.
-    ``non_unitary`` marks states whose history includes a renormalizing
-    (non-isometric) element application; the flag is sticky through later
-    operations that preserve it explicitly.
+    Exact zeros are dropped at construction time.  ``non_unitary`` marks
+    states whose history includes a renormalizing (non-isometric) element
+    application; the flag is sticky through later operations that preserve
+    it explicitly.
     """
 
     terms: dict[FockKet, complex] = field(default_factory=dict)
-    prune_epsilon: float = 0.0
     non_unitary: bool = False
 
     def __post_init__(self):
-        if self.prune_epsilon < 0:
-            raise ValueError("prune_epsilon must be non-negative")
-        eps = self.prune_epsilon
-        self.terms = {
-            k: complex(a) for k, a in self.terms.items() if abs(complex(a)) > eps
-        }
+        self.terms = {k: c for k, a in self.terms.items() if abs(c := complex(a)) > 0.0}
 
     def sorted_items(self) -> list[tuple[FockKet, complex]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].pairs)
@@ -184,9 +200,7 @@ class StateVector:
 
     def scaled(self, factor: complex) -> StateVector:
         return StateVector(
-            {k: a * factor for k, a in self.terms.items()},
-            prune_epsilon=self.prune_epsilon,
-            non_unitary=self.non_unitary,
+            {k: a * factor for k, a in self.terms.items()}, non_unitary=self.non_unitary
         )
 
     def __repr__(self) -> str:

@@ -192,3 +192,39 @@ def test_sweep_to_stdout(capsys):
     assert main(["sweep", "ghz", "--steps", "3"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("alpha,per_detector_prob,total_prob,ghz_fidelity")
+
+
+# ---------------------------------------------------------------- bad numbers, defects
+
+
+def test_run_non_finite_alpha_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.qc"
+    bad.write_text(Path(SWAP_QC).read_text().replace(
+        "alt=(1'@1,2'@0)", "alt=(1'@1,2'@0) alpha=nan"))
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 5" in err and "finite" in err
+
+
+@pytest.mark.parametrize("demo", ["swap", "ghz"])
+@pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
+def test_demo_non_finite_alpha_exits_2(demo, alpha, capsys):
+    assert main(["demo", demo, f"--alpha={alpha}"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_sweep_non_finite_range_exits_2(capsys):
+    assert main(["sweep", "ghz", "--alpha-to", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_1_with_one_line(monkeypatch, capsys):
+    import aomsim.cli
+
+    def broken(**kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(aomsim.cli, "run_swap", broken)
+    assert main(["demo", "swap"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "KeyError" in err and "Traceback" not in err

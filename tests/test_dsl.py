@@ -309,3 +309,40 @@ def test_report_outcomes_distribution():
     assert dist[1] == pytest.approx(0.5, abs=1e-12)
     assert dist[0] == pytest.approx(0.25, abs=1e-12)
     assert dist[2] == pytest.approx(0.25, abs=1e-12)
+
+
+# ---------------------------------------------------------------- non-finite numbers
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("alpha", "nan"), ("alpha", "inf"), ("alpha", "-Infinity"),
+    ("t", "nan"), ("sigma", "nan"), ("sigma", "inf"), ("pump", "nan"),
+    ("sigma", "0"), ("pump", "-1.5"),
+])
+def test_non_finite_or_non_positive_numbers_are_parse_errors(arg, value):
+    lines = {
+        "alpha": "source S1 arms=(1@0,2@1) alt=(1'@1,2'@0) alpha={}",
+        "t": "aom A in=(2@1,1'@1) out=(x,y) shift=0 t={}",
+        "sigma": "filter F path=2 pass=1 sigma={}",
+        "pump": "check bandwidth pump={}",
+    }
+    head = "source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\n" if arg != "alpha" else ""
+    bad = lines[arg].format(value)
+    err = parse_bad(head + bad + "\n")[0]
+    assert err.line == (2 if head else 1)
+    assert err.column == bad.index(value) + 1
+    assert "finite" in err.message or "positive" in err.message
+
+
+@pytest.mark.parametrize("stmt", [
+    SourceStmt("S1", (M("1", 0), M("2", 1)), (M("1'", 1), M("2'", 0)), math.nan, line=3),
+    FilterStmt("F", "1", 0, math.inf, line=3),
+    CheckStmt(math.nan, line=3),
+    CheckStmt(0.0, line=3),
+])
+def test_compile_rejects_non_finite_numbers_in_programmatic_ast(stmt):
+    source = SourceStmt("S0", (M("1", 0), M("2", 1)), (M("1'", 1), M("2'", 0)), line=1)
+    statements = (stmt,) if isinstance(stmt, SourceStmt) else (source, stmt)
+    with pytest.raises(CompileError) as exc:
+        compile_circuit(CircuitAst(statements))
+    assert exc.value.line == 3

@@ -290,3 +290,32 @@ def test_filter_sigma_must_be_positive():
 ])
 def test_check_bandwidth(pump, sigmas, expected):
     assert check_bandwidth(BandwidthCheck(pump, sigmas)) is expected
+
+
+# ---------------------------------------------------------------- non-finite numbers
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_source_rejects_non_finite_alpha(alpha):
+    with pytest.raises(SpecInvariantError):
+        SourceSpec("S", arms=(M("1", 0), M("2", 1)), alt=(M("1'", 1), M("2'", 0)), alpha=alpha)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_filter_rejects_non_finite_or_negative_sigma(sigma):
+    with pytest.raises(SpecInvariantError):
+        FilterSpec("T", pass_bin=0, sigma=sigma)
+
+
+@pytest.mark.parametrize("pump,sigmas", [
+    (math.nan, ()), (math.inf, ()), (0.0, ()), (1.0, (math.nan,)), (1.0, (1.0, -2.0)),
+])
+def test_bandwidth_check_rejects_bad_bandwidths(pump, sigmas):
+    with pytest.raises(SpecInvariantError):
+        BandwidthCheck(pump, sigmas)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_aom_rejects_non_finite_t(t):
+    with pytest.raises(SpecInvariantError):
+        AomSpec("A", M("2", 1), M("3", 0), "x", "y", t_amp=t)

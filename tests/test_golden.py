@@ -1,0 +1,67 @@
+"""Byte-identical outputs against stored golden files, and the swap chain's exact answers.
+
+The files under ``tests/golden/`` were written by the CLI before the sparse
+engine was optimized; every report, demo and sweep must still reproduce them
+byte for byte.  Paths are passed relative to the repository root, because a
+run report records the circuit path it was given.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from aomsim import compile_circuit, parse
+from aomsim.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path("tests") / "golden"
+
+CASES = [
+    (["run", "circuits/swap.qc", "--json"], "run_swap.json"),
+    (["run", "circuits/ghz.qc", "--json"], "run_ghz.json"),
+    (["run", str(GOLDEN / "chain3.qc"), "--json"], "chain3.json"),
+    (["sweep", "ghz", "--steps", "17", "--convention", "paper", "--csv"], "sweep_ghz.csv"),
+] + [
+    (["demo", demo, "--convention", conv] + (["--alpha", alpha] if alpha else []) + ["--json"],
+     f"demo_{demo}_{conv}_{tag}.json")
+    for demo in ("swap", "ghz")
+    for conv in ("unitary", "paper")
+    for tag, alpha in (("pi4", None), ("a06", "0.6"))
+]
+
+
+@pytest.mark.parametrize("argv,golden", CASES, ids=[g for _, g in CASES])
+def test_output_matches_golden_bytes(argv, golden, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / golden
+    assert main(argv + [str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (ROOT / GOLDEN / golden).read_bytes()
+
+
+def chain_circuit(k: int, conventions: list[str]) -> str:
+    """k biphoton sources; AOMs join R_i with L_{i+1} as circuits/swap.qc joins 2 and 3."""
+    lines = [f"source S{i} arms=(L{i}@0,R{i}@1) alt=(L{i}'@1,R{i}'@0)" for i in range(k)]
+    for i in range(k - 1):
+        j = i + 1
+        lines.append(f"aom A{i} in=(R{i}@1,L{j}@0) out=(T{i},T{i}') "
+                     f"convention={conventions[(2 * i) % len(conventions)]}")
+        lines.append(f"aom B{i} in=(L{j}'@1,R{i}'@0) out=(U{i}',U{i}) "
+                     f"convention={conventions[(2 * i + 1) % len(conventions)]}")
+    clauses = [f"count(T{i},T{i}')==1 and count(U{i},U{i}')==1" for i in range(k - 1)]
+    lines.append("herald " + " and ".join(clauses))
+    lines.append("report entropy split=(L0,L0')")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("conventions", [["unitary"], ["paper"], ["unitary", "paper", "paper"]])
+def test_swap_chain_exact_answers(k, conventions):
+    result = compile_circuit(parse(chain_circuit(k, conventions))).run()
+    accepted = [o for o in result.outcomes if o.accepted]
+    assert math.isclose(result.success_probability, 2.0 ** -(k - 1), abs_tol=1e-12)
+    assert len(accepted) == 4 ** (k - 1)
+    assert sum(len(o.conditional_state.terms) for o in accepted) == 2 * 4 ** (k - 1)
+    for o in accepted:
+        assert o.metrics["entropy[L0,L0']"] == pytest.approx(1.0, abs=1e-12)

@@ -1,7 +1,9 @@
 """State layer: kets, tensor products, reductions, entropy, GHZ fidelity."""
 
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from aomsim import (
     FockKet,
+    ModeLabel,
     OverlappingPathsError,
     StateVector,
     ZeroStateError,
@@ -69,8 +72,27 @@ def test_ket_permutation_invariant():
 
 def test_mode_label_ordering_and_validation():
     assert M("a", 1) < M("a", 2) < M("b", -5)
+    modes = [M("b", 0), M("a", 2), M("a'", -1), M("a", -3), M("B", 5), M("a", 0)]
+    assert [str(m) for m in sorted(modes)] == ["B@5", "a@-3", "a@0", "a@2", "a'@-1", "b@0"]
     with pytest.raises(ValueError):
         M("", 0)
+
+
+def test_mode_label_is_the_tuple_path_bin():
+    m = M("a", 1)
+    assert m == ("a", 1) and hash(m) == hash(("a", 1))
+    assert (m.path, m.freq_bin) == ("a", 1)
+    assert M(path="a", freq_bin=1) == m
+    assert repr(m) == "ModeLabel(path='a', freq_bin=1)"
+    with pytest.raises(AttributeError):
+        m.path = "b"
+
+
+def test_mode_label_survives_copy_and_pickle():
+    m = M("T1'", -2)
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert clone == m and type(clone) is ModeLabel
+        assert str(clone) == "T1'@-2"
 
 
 def test_fock_ket_canonical_and_immutable():
