@@ -1,6 +1,7 @@
 """Frequency-bin photonic circuit simulator built around AOM mode maps.
 
-Public API: sparse Fock states over (path, frequency-bin) modes, optical
+Public API: sparse Fock states over (path, frequency-bin) modes, evolved by
+an array engine over occupation matrices (:mod:`aomsim.engine`), optical
 elements (AOM, biphoton source, bin filter), heralded post-selection, the
 two built-in experiments (entanglement swap, three-photon GHZ generation),
 a dense verification oracle, and the circuit description language.

@@ -47,13 +47,26 @@ def _round_floats(obj):
     return obj
 
 
-def _state_json(state: StateVector | None) -> list[dict] | None:
+class _PairLists(dict):
+    """``(mode, n)`` pair -> its ``[path, bin, n]`` JSON list, one list per pair.
+
+    A report reuses the list wherever the pair occurs, instead of building a
+    new one per term; the serialized bytes are the same.
+    """
+
+    def __missing__(self, pair):
+        item = self[pair] = [pair[0][0], pair[0][1], pair[1]]
+        return item
+
+
+def _state_json(state: StateVector | None, pairs: _PairLists) -> list[dict] | None:
     """Terms of a state in ket order, amplitudes already rounded."""
     if state is None:
         return None
+    lists = pairs.__getitem__
     return [
         {
-            "modes": [[m[0], m[1], n] for m, n in k.items()],
+            "modes": list(map(lists, k.items())),
             "re": _sig12(amp.real),
             "im": _sig12(amp.imag),
         }
@@ -61,14 +74,14 @@ def _state_json(state: StateVector | None) -> list[dict] | None:
     ]
 
 
-def _outcome_json(o: HeraldOutcome) -> dict:
+def _outcome_json(o: HeraldOutcome, pairs: _PairLists) -> dict:
     out = _round_floats({
         "label": o.label,
         "accepted": o.accepted,
         "probability": o.probability,
         "metrics": dict(sorted(o.metrics.items())),
     })
-    out["state"] = _state_json(o.conditional_state)
+    out["state"] = _state_json(o.conditional_state, pairs)
     return out
 
 
@@ -101,7 +114,8 @@ def _report(
         report.update(extra)
     report = _round_floats(report)
     # outcome states are the bulk of a report; _state_json rounds them itself
-    report["outcomes"] = [_outcome_json(o) for o in outcomes]
+    pairs = _PairLists()
+    report["outcomes"] = [_outcome_json(o, pairs) for o in outcomes]
     return report
 
 

@@ -29,7 +29,9 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
+from . import engine
 from .elements import (
     AomSpec,
     BALANCED_T,
@@ -40,6 +42,7 @@ from .elements import (
     apply_element,
     apply_filter,
     check_bandwidth,
+    circuit_modes,
     make_aom,
     make_source,
 )
@@ -47,11 +50,18 @@ from .errors import CompileError, SpecInvariantError, ZeroStateError
 from .experiments import (
     HeraldOutcome,
     HeraldRule,
-    enumerate_outcomes,
     post_select,
     restrict_to_paths,
 )
-from .states import FockKet, ModeLabel, StateVector, entanglement_entropy, ghz_fidelity, tensor
+from .states import (
+    FockKet,
+    ModeLabel,
+    StateVector,
+    as_state,
+    entanglement_entropy,
+    ghz_fidelity,
+    tensor,
+)
 
 __all__ = [
     "ParseError",
@@ -474,15 +484,23 @@ def _modes(modes: tuple[ModeLabel, ...]) -> str:
 
 @dataclass
 class PipelineResult:
-    """Execution record: heralded outcomes plus pre-herald diagnostics."""
+    """Execution record: heralded outcomes plus pre-herald diagnostics.
+
+    ``final`` is the evolved state as the engine holds it;
+    ``evolved_state`` builds its kets on first use.
+    """
 
     outcomes: list[HeraldOutcome]
     success_probability: float
-    evolved_state: StateVector
+    final: engine.ArrayState = field(repr=False)
     count_distributions: dict[str, dict[int, float]]
     filter_survivals: dict[str, float]
     bandwidth_valid: bool | None
     non_unitary: bool
+
+    @cached_property
+    def evolved_state(self) -> StateVector:
+        return as_state(self.final)
 
 
 @dataclass
@@ -496,11 +514,13 @@ class Pipeline:
     pump_sigma: float | None
 
     def run(self, convention_override: Convention | None = None) -> PipelineResult:
+        """Evolve one occupation matrix over the mode closure, then herald and report."""
         if not self.sources:
             raise ZeroStateError("circuit has no sources; nothing to evolve")
-        state: StateVector | None = None
+        modes = circuit_modes(self.sources, [e for e in self.elements if isinstance(e, AomSpec)])
+        state: engine.ArrayState | None = None
         for spec in self.sources:
-            emitted = make_source(spec)
+            emitted = make_source(spec, modes)
             state = emitted if state is None else tensor(state, emitted)
         filter_survivals: dict[str, float] = {}
         filter_sigmas: list[float] = []
@@ -524,8 +544,8 @@ class Pipeline:
             outcomes = [
                 HeraldOutcome(
                     label="all",
-                    probability=state.norm() ** 2,
-                    conditional_state=state,
+                    probability=engine.norm(state.amp) ** 2,
+                    conditional_state=as_state(state),
                     accepted=True,
                 )
             ]
@@ -533,7 +553,7 @@ class Pipeline:
         for report in self.reports:
             if isinstance(report, ReportOutcomesStmt):
                 key = ",".join(report.paths)
-                count_distributions[key] = enumerate_outcomes(state, set(report.paths))
+                count_distributions[key] = engine.count_distribution(state, report.paths)
                 continue
             for outcome in outcomes:
                 if not outcome.accepted or outcome.conditional_state is None:
@@ -555,7 +575,7 @@ class Pipeline:
         return PipelineResult(
             outcomes=outcomes,
             success_probability=success,
-            evolved_state=state,
+            final=state,
             count_distributions=count_distributions,
             filter_survivals=filter_survivals,
             bandwidth_valid=bandwidth_valid,

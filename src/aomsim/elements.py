@@ -18,13 +18,12 @@ Two phase conventions are supported:
   of each input ket back to the ket's own weight (and renormalizes the total),
   flagging the result ``non_unitary``.
 
-The lift of a mode map to multi-photon kets expands only the touched modes
-of each ket: the modes on the element's input paths, plus any occupied mode
-that an image photon could land on (so its ``sqrt(n!)`` weight stays exact).
-The untouched remainder is appended to every image ket unchanged.  Each
-:class:`ElementOp` caches the image of every touched sub-ket it has lifted,
-so a state of thousands of kets costs a handful of expansions; for that
-reason an op's ``images`` must not be mutated after its first use.
+Elements act on states through the array engine (:mod:`aomsim.engine`):
+:func:`apply_element`, :func:`make_source` and :func:`apply_filter` take and
+return :class:`StateVector` and wrap the engine's lift, source and filter
+kernels.  Given an :class:`~aomsim.engine.ArrayState`, :func:`apply_element`
+and :func:`apply_filter` return one, so a compiled pipeline evolves one
+occupation matrix and builds kets only for its results.
 
 Sources are two-photon emitters ``cos(a)|arm pair> + sin(a)|alt pair>``;
 filters are ideal frequency-bin projectors; physical bandwidth enters only
@@ -38,8 +37,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import SpecInvariantError, UnexpectedFrequencyError, ZeroStateError
-from .states import FockKet, ModeLabel, StateVector, normalize
+from . import engine
+from .errors import SpecInvariantError
+from .engine import ArrayState
+from .states import ModeLabel, StateVector, as_arrays, as_state, match_kind
 
 __all__ = [
     "Convention",
@@ -51,6 +52,7 @@ __all__ = [
     "make_aom",
     "apply_element",
     "make_source",
+    "circuit_modes",
     "apply_filter",
     "check_bandwidth",
 ]
@@ -73,16 +75,11 @@ class ElementOp:
     modes (tuples of ``(mode, amplitude)``).  Modes not listed pass through
     unchanged; a photon on an input *path* but with an unlisted bin is a
     wiring error.  ``literal`` marks maps that need renormalization.
-
-    The op memoises the lifted image of each touched sub-ket it has seen
-    (see :func:`apply_element`), so ``images`` must not be mutated after the
-    op's first use; build a new op instead.
     """
 
     name: str
     images: dict[ModeLabel, tuple[tuple[ModeLabel, complex], ...]]
     literal: bool = False
-    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def input_paths(self) -> frozenset[str]:
@@ -207,137 +204,47 @@ def make_aom(spec: AomSpec) -> ElementOp:
     )
 
 
-def _lift_sub(
-    sub: tuple[tuple[ModeLabel, int], ...],
-    rest_factorials: int,
-    images: dict[ModeLabel, tuple[tuple[ModeLabel, complex], ...]],
-) -> tuple[tuple[tuple[tuple[ModeLabel, int], ...], complex], ...]:
-    """Image of the touched part ``sub`` of a ket under the bosonic lift.
-
-    Each touched photon is expanded through its mode's image (identity for a
-    mode listed only as an output), and the creation-operator polynomial is
-    converted back to occupation pairs with the usual sqrt(n!) weights.
-    ``rest_factorials`` is prod(n!) over the untouched remainder of the ket,
-    which enters those weights as if the remainder had been expanded too, so
-    the amplitudes round exactly as a full expansion of the ket would.
-    """
-    poly: dict[tuple[ModeLabel, ...], complex] = {(): 1.0 + 0j}
-    denom = float(rest_factorials)
-    for mode, n in sub:
-        denom *= math.factorial(n)
-        targets = images.get(mode, ((mode, 1.0 + 0j),))
-        for _ in range(n):
-            grown: dict[tuple[ModeLabel, ...], complex] = {}
-            for mono, coeff in poly.items():
-                for out_mode, w in targets:
-                    key = tuple(sorted(mono + (out_mode,)))
-                    grown[key] = grown.get(key, 0j) + coeff * w
-            poly = grown
-    image: dict[tuple[tuple[ModeLabel, int], ...], complex] = {}
-    scale = 1.0 / math.sqrt(denom)
-    for mono, coeff in poly.items():
-        if coeff == 0j:
-            continue
-        counts: dict[ModeLabel, int] = {}
-        for m in mono:
-            counts[m] = counts.get(m, 0) + 1
-        num = float(rest_factorials)
-        for c in counts.values():
-            num *= math.factorial(c)
-        pairs = tuple(counts.items())  # sorted, since mono is
-        image[pairs] = image.get(pairs, 0j) + coeff * math.sqrt(num) * scale
-    return tuple(image.items())
-
-
-def _lift_ket(k: FockKet, op: ElementOp, outputs: frozenset[ModeLabel]
-              ) -> tuple[list[tuple[FockKet, complex]], float]:
-    """Image of one basis ket under the bosonic lift of ``op``, and its norm.
-
-    Only the touched modes are expanded: those on the op's input paths, plus
-    any occupied mode among ``outputs`` (the op's output modes), whose count
-    an image photon could raise.  The touched sub-ket's image comes from the
-    op's cache; the untouched remainder is appended to each image ket.
-    """
-    images = op.images
-    sub: list[tuple[ModeLabel, int]] = []
-    rest: list[tuple[ModeLabel, int]] = []
-    rest_factorials = 1
-    for pair in k.pairs:
-        mode = pair[0]
-        if mode in images:
-            sub.append(pair)
-        elif mode[0] in op.input_paths:
-            raise UnexpectedFrequencyError(
-                f"{op.name}: photon at {mode} on an input path, but the element "
-                f"expects bins {sorted(m.freq_bin for m in images if m.path == mode.path)}"
-            )
-        elif mode in outputs:
-            sub.append(pair)
-        else:
-            rest.append(pair)
-            if pair[1] > 1:
-                rest_factorials *= math.factorial(pair[1])
-    key = (tuple(sub), rest_factorials)
-    lifted = op._lifted.get(key)
-    if lifted is None:
-        image = _lift_sub(key[0], rest_factorials, images)
-        norm = math.sqrt(sum(abs(c) ** 2 for _, c in image))
-        lifted = op._lifted[key] = (image, norm)
-    image, norm = lifted
-    if rest:
-        tail = tuple(rest)
-        return [(FockKet._canonical(tuple(sorted(pairs + tail))), c) for pairs, c in image], norm
-    return [(FockKet._canonical(pairs), c) for pairs, c in image], norm
-
-
-def apply_element(s: StateVector, op: ElementOp) -> StateVector:
+def apply_element(s: StateVector | ArrayState, op: ElementOp) -> StateVector | ArrayState:
     """Evolve a state through one element (bosonic lift of its mode map).
 
     Unitary-convention elements preserve the norm.  Literal maps rescale each
     input ket's image to that ket's weight, then renormalize the total, and
     the result carries ``non_unitary=True``.
     """
-    outputs = frozenset(op.output_modes)
-    out: dict[FockKet, complex] = {}
-    for k, amp in s.sorted_items():
-        image, image_norm = _lift_ket(k, op, outputs)
-        if op.literal and image_norm > 0.0:
-            amp = amp / image_norm
-        for out_ket, coeff in image:
-            out[out_ket] = out.get(out_ket, 0j) + amp * coeff
-    result = StateVector(out, non_unitary=s.non_unitary or op.literal)
-    if op.literal and result.terms:
-        result = normalize(result)
-    return result
+    return match_kind(s, engine.lift(as_arrays(s, {*op.images, *op.output_modes}), op))
 
 
-def make_source(spec: SourceSpec) -> StateVector:
-    """Two-term biphoton state of the source; alpha = pi/4 gives 1/sqrt(2) each."""
-    c, s = math.cos(spec.alpha), math.sin(spec.alpha)
-    arm_ket = FockKet.from_modes(spec.arms)
-    alt_ket = FockKet.from_modes(spec.alt)
-    return StateVector({arm_ket: complex(c), alt_ket: complex(s)})
+def make_source(spec: SourceSpec, modes: tuple[ModeLabel, ...] | None = None
+                ) -> StateVector | ArrayState:
+    """Two-term biphoton state of the source; alpha = pi/4 gives 1/sqrt(2) each.
+
+    Given a circuit's compiled ``modes`` (see :func:`circuit_modes`), returns
+    the two rows as an :class:`~aomsim.engine.ArrayState` over those columns.
+    """
+    if modes is not None:
+        return engine.source(spec, modes)
+    return as_state(engine.source(spec, tuple(sorted(spec.arms + spec.alt))))
 
 
-def apply_filter(s: StateVector, f: FilterSpec) -> tuple[StateVector, float]:
+def circuit_modes(sources, aoms) -> tuple[ModeLabel, ...]:
+    """The sorted mode closure: every mode a source emits or an AOM reads or writes."""
+    modes = {m for spec in sources for m in spec.arms + spec.alt}
+    for a in aoms:
+        modes |= {a.input_a, a.input_b, ModeLabel(a.output_x, a.input_a.freq_bin),
+                  ModeLabel(a.output_y, a.input_b.freq_bin)}
+    return tuple(sorted(modes))
+
+
+def apply_filter(s: StateVector | ArrayState, f: FilterSpec
+                 ) -> tuple[StateVector | ArrayState, float]:
     """Project onto ``pass_bin`` on the filter path and renormalize.
 
     Kets carrying a photon on the path at any other bin are removed; kets with
     no photon on the path pass untouched.  Returns the surviving state and the
     survival probability (squared surviving norm of a normalized input).
     """
-    survivors: dict[FockKet, complex] = {}
-    for k, amp in s.terms.items():
-        blocked = any(
-            m.path == f.path and m.freq_bin != f.pass_bin for m, _ in k.items()
-        )
-        if not blocked:
-            survivors[k] = amp
-    surviving = StateVector(survivors, non_unitary=s.non_unitary)
-    prob = surviving.norm() ** 2
-    if prob == 0.0:
-        raise ZeroStateError(f"filter on {f.path} (pass bin {f.pass_bin}) removed every term")
-    return normalize(surviving), prob
+    survivors, prob = engine.filter_rows(as_arrays(s), f.path, f.pass_bin)
+    return match_kind(s, survivors), prob
 
 
 def check_bandwidth(c: BandwidthCheck) -> bool:

@@ -25,7 +25,8 @@ class UnexpectedFrequencyError(SimulatorError):
 
 
 class CapExceededError(SimulatorError):
-    """The dense oracle was asked to enumerate a basis beyond its caps."""
+    """A step would exceed a fixed resource cap: the dense oracle's mode or
+    photon caps, or the array engine's term budget or ``int8`` occupations."""
 
 
 class CompileError(SimulatorError):

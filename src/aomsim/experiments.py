@@ -5,7 +5,9 @@ pairs through AOMs, and condition on number-resolving photon-count patterns
 over the AOM output paths.  :func:`post_select` is the shared heralding
 primitive: it partitions a state by the per-path photon-count pattern over
 the paths a rule mentions, accepts the patterns whose per-clause totals match
-exactly, and lumps everything else into one discard bucket.
+exactly, and lumps everything else into one discard bucket.  It groups the
+rows of an array state (:mod:`aomsim.engine`) and builds the kets of all
+outcome states in one batch.
 
 The swap layout (two AOMs) projects the two untouched outer photons onto a
 maximally frequency-entangled pair whenever exactly one photon exits each
@@ -19,6 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import engine
+from .engine import ArrayState
 from .elements import (
     AomSpec,
     BandwidthCheck,
@@ -28,6 +34,7 @@ from .elements import (
     apply_element,
     apply_filter,
     check_bandwidth,
+    circuit_modes,
     make_aom,
     make_source,
 )
@@ -35,7 +42,10 @@ from .states import (
     FockKet,
     ModeLabel,
     StateVector,
+    as_arrays,
     entanglement_entropy,
+    kets,
+    state_of,
     normalize,
     reduced_density,
     ghz_fidelity,
@@ -102,12 +112,6 @@ class HeraldRule:
             out |= paths
         return tuple(sorted(out))
 
-    def satisfied_by(self, counts: dict[str, int]) -> bool:
-        return all(
-            sum(counts.get(p, 0) for p in paths) == required
-            for paths, required in self.clauses
-        )
-
 
 @dataclass
 class HeraldOutcome:
@@ -144,86 +148,64 @@ class GhzResult:
     bandwidth_valid: bool
 
 
-def _pattern_components(
-    s: StateVector, paths: tuple[str, ...]
-) -> dict[tuple[int, ...], dict[FockKet, complex]]:
-    index = {p: i for i, p in enumerate(paths)}
-    groups: dict[tuple[int, ...], dict[FockKet, complex]] = {}
-    for k, amp in s.sorted_items():
-        counts = [0] * len(paths)
-        for mode, n in k.pairs:
-            i = index.get(mode[0])
-            if i is not None:
-                counts[i] += n
-        groups.setdefault(tuple(counts), {})[k] = amp
-    return groups
-
-
 def _pattern_label(paths: tuple[str, ...], pattern: tuple[int, ...]) -> str:
     return ",".join(f"{p}={c}" for p, c in zip(paths, pattern))
 
 
-def post_select(s: StateVector, rule: HeraldRule) -> list[HeraldOutcome]:
+@engine.memo_small
+def _herald_plan(occ, modes: tuple, rule: HeraldRule):
+    """Row order and outcomes of a herald: ``(order, [(label, pattern, accepted, rows, kets)])``.
+
+    ``rows`` index the state's rows taken in ``order``; the kets of every
+    outcome are built here, in one batch.  Rejected patterns form one
+    discard bucket, in pattern order, unless the rule keeps them apart.
+    """
+    paths = rule.paths()
+    order, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
+    terms = kets(modes, occ[order])
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    shown = np.flatnonzero(accepted).tolist()
+    if not rule.discard_complement:
+        shown += np.flatnonzero(~accepted).tolist()
+    outcomes = []
+    for g in shown:
+        pattern = tuple(patterns[g].tolist())
+        start, stop = starts[g], starts[g] + int(sizes[g])
+        outcomes.append((_pattern_label(paths, pattern), tuple(zip(paths, pattern)),
+                         bool(accepted[g]), slice(start, stop), tuple(terms[start:stop])))
+    if rule.discard_complement:
+        rows = np.flatnonzero(np.repeat(~accepted, sizes))
+        outcomes.append(("discard", None, False, rows, tuple(terms[i] for i in rows.tolist())))
+    return order, outcomes
+
+
+def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOutcome]:
     """Split a normalized state by photon-count pattern over the rule paths.
 
     Returns one outcome per satisfying pattern (sorted by pattern) followed
     by the rejected remainder; probabilities over the full list sum to 1.
+    Each outcome's terms are in ket order, and the discard bucket holds the
+    rejected patterns in pattern order.
     """
-    paths = rule.paths()
-    groups = _pattern_components(s, paths)
-    outcomes: list[HeraldOutcome] = []
-    rejected: list[tuple[tuple[int, ...], dict[FockKet, complex]]] = []
-    for pattern in sorted(groups):
-        if rule.satisfied_by(dict(zip(paths, pattern))):
-            component = StateVector(dict(groups[pattern]), non_unitary=s.non_unitary)
-            prob = component.norm() ** 2
-            outcomes.append(
-                HeraldOutcome(
-                    label=_pattern_label(paths, pattern),
-                    probability=prob,
-                    conditional_state=normalize(component),
-                    accepted=True,
-                    pattern=tuple(zip(paths, pattern)),
-                )
-            )
-        else:
-            rejected.append((pattern, groups[pattern]))
-    if rule.discard_complement:
-        merged: dict[FockKet, complex] = {}
-        for _, terms in rejected:
-            merged.update(terms)
-        bucket = StateVector(merged, non_unitary=s.non_unitary)
-        prob = bucket.norm() ** 2
-        outcomes.append(
-            HeraldOutcome(
-                label="discard",
-                probability=prob,
-                conditional_state=normalize(bucket) if prob > 0.0 else None,
-                accepted=False,
-            )
-        )
-    else:
-        for pattern, terms in rejected:
-            component = StateVector(dict(terms), non_unitary=s.non_unitary)
-            outcomes.append(
-                HeraldOutcome(
-                    label=_pattern_label(paths, pattern),
-                    probability=component.norm() ** 2,
-                    conditional_state=normalize(component),
-                    accepted=False,
-                    pattern=tuple(zip(paths, pattern)),
-                )
-            )
+    state = as_arrays(s)
+    order, plan = _herald_plan(state.occ, state.modes, rule)
+    amps = state.amp[order]
+    outcomes = []
+    for label, pattern, accepted, rows, terms in plan:
+        amp = amps[rows]
+        n = engine.norm(amp)
+        conditional = None
+        if pattern is not None or n ** 2 > 0.0:  # an empty discard bucket has no state
+            conditional = state_of(terms, engine.unit(amp, n), state.non_unitary)
+        outcomes.append(HeraldOutcome(label=label, probability=n ** 2,
+                                      conditional_state=conditional, accepted=accepted,
+                                      pattern=pattern))
     return outcomes
 
 
 def enumerate_outcomes(s: StateVector, paths: set[str] | frozenset[str]) -> dict[int, float]:
     """Distribution of the total photon count over a path set."""
-    dist: dict[int, float] = {}
-    for k, amp in s.terms.items():
-        c = k.count_on_paths(paths)
-        dist[c] = dist.get(c, 0.0) + abs(amp) ** 2
-    return dict(sorted(dist.items()))
+    return engine.count_distribution(as_arrays(s), sorted(paths))
 
 
 def restrict_to_paths(s: StateVector, keep: set[str] | frozenset[str]) -> StateVector:
@@ -288,11 +270,12 @@ def run_swap(alpha: float = math.pi / 4, convention: Convention = Convention.UNI
     literal convention but not for the unitary one.
     """
     s1, s2 = swap_sources(alpha)
-    state = tensor(make_source(s1), make_source(s2))
     aom1 = AomSpec("AOM1", _m("2", 1), _m("3", 0), output_x="T1", output_y="T1'",
                    phase_convention=convention)
     aom2 = AomSpec("AOM2", _m("3'", 1), _m("2'", 0), output_x="T2'", output_y="T2",
                    phase_convention=convention)
+    modes = circuit_modes((s1, s2), (aom1, aom2))
+    state = tensor(make_source(s1, modes), make_source(s2, modes))
     state = apply_element(state, make_aom(aom1))
     state = apply_element(state, make_aom(aom2))
     outcomes = post_select(state, swap_herald_rule())
@@ -340,9 +323,10 @@ def run_ghz(alpha: float = math.pi / 4, convention: Convention = Convention.UNIT
     sin^2(alpha) cos^2(alpha); the total is twice that.
     """
     s1, s2 = swap_sources(alpha)
-    state = tensor(make_source(s1), make_source(s2))
     aom = AomSpec("AOM", _m("2", 1), _m("3", 0), output_x="T'", output_y="T",
                   phase_convention=convention)
+    modes = circuit_modes((s1, s2), (aom,))
+    state = tensor(make_source(s1, modes), make_source(s2, modes))
     state = apply_element(state, make_aom(aom))
     filter_t = FilterSpec("T", pass_bin=0, sigma=1.0)
     filter_tp = FilterSpec("T'", pass_bin=1, sigma=1.0)

@@ -1,8 +1,9 @@
 """Dense brute-force verification path for element application.
 
-Instead of the sparse ket-by-ket polynomial expansion used by
-:func:`aomsim.elements.apply_element`, this module enumerates the full
-occupation basis over the closed mode set and evaluates every output
+Instead of the array engine's lift (:mod:`aomsim.engine`, behind
+:func:`aomsim.elements.apply_element`), which expands each distinct
+sub-occupation as a creation-operator polynomial, this module enumerates the
+full occupation basis over the closed mode set and evaluates every output
 amplitude through matrix permanents:
 
     <k| lift(M) |n> = per(M[k_rows, n_cols]) / sqrt(prod(k!) * prod(n!))
@@ -72,7 +73,7 @@ def dense_oracle_apply(
     mode_cap: int = DEFAULT_MODE_CAP,
     photon_cap: int = DEFAULT_PHOTON_CAP,
 ) -> StateVector:
-    """Apply ``op`` by dense enumeration; must agree with the sparse route.
+    """Apply ``op`` by dense enumeration; must agree with the array engine.
 
     Mirrors :func:`aomsim.elements.apply_element` exactly, including the
     wrong-bin wiring check and the per-ket rescaling of literal maps.

@@ -1,4 +1,4 @@
-"""Sparse multi-photon states over (path, frequency-bin) modes.
+"""Fock states over (path, frequency-bin) modes, and the state algebra.
 
 A mode is a photon "slot" identified by a path name and an integer frequency
 bin: bin ``n`` stands for the optical frequency ``omega + n * delta`` on an
@@ -9,10 +9,18 @@ to that tuple.  Multi-photon basis states are occupation maps over modes
 (:class:`FockKet`), and a state is a sparse complex-amplitude map over such
 kets (:class:`StateVector`).
 
-The module also provides the linear-algebra layer used everywhere else:
-inner products, tensor products, partial traces (:func:`reduced_density`),
-bipartite entanglement entropy, and a phase-maximized fidelity against
-two-branch superposition targets (:func:`ghz_fidelity`).
+``StateVector`` is the API boundary of the array engine
+(:mod:`aomsim.engine`), which evolves occupation matrices:
+:func:`as_arrays` and :func:`as_state` convert between the two, keeping the
+order of terms, and :func:`tensor` is a wrapper over the engine's
+broadcasting kernel.  Like the element and herald wrappers, it also takes an
+:class:`~aomsim.engine.ArrayState` and then returns one, so a compiled
+pipeline runs through the same public functions without building kets.
+
+The module also provides the linear-algebra layer used on results: inner
+products, partial traces (:func:`reduced_density`), bipartite entanglement
+entropy, and a phase-maximized fidelity against two-branch superposition
+targets (:func:`ghz_fidelity`).
 
 Everything here is value-like: kets are immutable, states are never mutated
 after construction, and every operation returns a fresh object, so instances
@@ -28,7 +36,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import OverlappingPathsError, ZeroStateError
+from . import engine
+from .engine import ArrayState
+from .errors import CapExceededError, ZeroStateError
 
 __all__ = [
     "ModeLabel",
@@ -36,6 +46,11 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "ket",
+    "as_arrays",
+    "as_state",
+    "kets",
+    "state_of",
+    "match_kind",
     "tensor",
     "inner",
     "normalize",
@@ -180,6 +195,14 @@ class StateVector:
     def __post_init__(self):
         self.terms = {k: c for k, a in self.terms.items() if abs(c := complex(a)) > 0.0}
 
+    @classmethod
+    def _nonzero(cls, terms: dict[FockKet, complex], non_unitary: bool) -> StateVector:
+        """Wrap terms whose amplitudes are already nonzero Python complex numbers."""
+        s = object.__new__(cls)
+        s.terms = terms
+        s.non_unitary = non_unitary
+        return s
+
     def sorted_items(self) -> list[tuple[FockKet, complex]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].pairs)
 
@@ -239,18 +262,94 @@ def ket(modes: Iterable[ModeLabel]) -> StateVector:
     return StateVector({FockKet.from_modes(modes): 1.0 + 0j})
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product of states on disjoint path sets."""
-    shared = a.paths() & b.paths()
-    if shared:
-        raise OverlappingPathsError(
-            f"operands share path(s): {', '.join(sorted(shared))}"
+def as_arrays(s: StateVector | ArrayState, modes: Iterable[ModeLabel] = ()) -> ArrayState:
+    """The state as an occupation matrix, one row per term in term order.
+
+    The columns are the state's own modes plus ``modes``, sorted.  An
+    :class:`ArrayState` is returned as it is: its compiled columns already
+    hold every mode of its circuit.  Raises :class:`CapExceededError` if a
+    mode holds more photons than the engine's ``int8`` occupations can.
+    """
+    if isinstance(s, ArrayState):
+        return s
+    columns = set(modes)
+    for k in s.terms:
+        columns.update(m for m, _ in k._pairs)
+    columns = tuple(sorted(columns))
+    index = {m: j for j, m in enumerate(columns)}
+    rows, cols, counts = [], [], []
+    for r, k in enumerate(s.terms):
+        for m, n in k._pairs:
+            rows.append(r)
+            cols.append(index[m])
+            counts.append(n)
+    if counts and max(counts) > engine.MAX_OCCUPATION:
+        raise CapExceededError(
+            f"a mode holds {max(counts)} photons, over {engine.MAX_OCCUPATION}"
         )
-    out: dict[FockKet, complex] = {}
-    for ka, ca in a.sorted_items():
-        for kb, cb in b.sorted_items():
-            out[ka.merge(kb)] = ca * cb
-    return StateVector(out, non_unitary=a.non_unitary or b.non_unitary)
+    occ = np.zeros((len(s.terms), len(columns)), dtype=np.int8)
+    occ[rows, cols] = counts
+    amp = np.array(list(s.terms.values()), dtype=complex).reshape(len(s.terms))
+    return ArrayState(columns, occ, amp, s.non_unitary)
+
+
+def kets(modes: tuple[ModeLabel, ...], occ: np.ndarray) -> list[FockKet]:
+    """One ket per occupation row, built in one batch; kets share their pairs."""
+    rows, cols = np.nonzero(occ)
+    base = engine.MAX_OCCUPATION + 1
+    codes = cols * base + occ[rows, cols]
+    pairs = np.empty(len(modes) * base, dtype=object)
+    for c in np.flatnonzero(np.bincount(codes, minlength=len(pairs))).tolist():
+        pairs[c] = (modes[c // base], c % base)
+    flat = pairs[codes]
+    lengths = np.bincount(rows, minlength=len(occ))
+    starts = np.cumsum(lengths) - lengths
+    new, set_pairs, set_hash = object.__new__, FockKet._pairs.__set__, FockKet._hash.__set__
+    out: list = [None] * len(occ)
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():  # rows with n pairs, one block
+        chosen = np.flatnonzero(lengths == n)
+        block = flat[starts[chosen][:, None] + np.arange(n)].tolist()
+        for i, ket_pairs in zip(chosen.tolist(), map(tuple, block)):
+            k = new(FockKet)
+            set_pairs(k, ket_pairs)
+            set_hash(k, hash(ket_pairs))
+            out[i] = k
+    return out
+
+
+def state_of(terms: list[FockKet], amp: np.ndarray, non_unitary: bool = False) -> StateVector:
+    """The :class:`StateVector` of distinct kets and their amplitudes, zeros dropped."""
+    keep = np.hypot(amp.real, amp.imag) > 0.0
+    if not keep.all():
+        terms = [k for k, kept in zip(terms, keep.tolist()) if kept]
+        amp = amp[keep]
+    return StateVector._nonzero(dict(zip(terms, amp.tolist())), non_unitary)
+
+
+def as_state(a: ArrayState) -> StateVector:
+    """The array state as a :class:`StateVector`, terms in row order."""
+    return state_of(kets(a.modes, a.occ), a.amp, a.non_unitary)
+
+
+def match_kind(given: StateVector | ArrayState, result: ArrayState) -> StateVector | ArrayState:
+    """``result`` as the kind of state the caller gave: arrays stay arrays."""
+    return result if isinstance(given, ArrayState) else as_state(result)
+
+
+def _modes(s: StateVector | ArrayState) -> set[ModeLabel]:
+    if isinstance(s, ArrayState):
+        return set(s.modes)
+    return {m for k in s.terms for m, _ in k._pairs}
+
+
+def tensor(a: StateVector | ArrayState, b: StateVector | ArrayState) -> StateVector | ArrayState:
+    """Tensor product of states on disjoint path sets.
+
+    Takes and returns :class:`StateVector`; given two :class:`ArrayState`
+    over the same columns, returns one.
+    """
+    modes = _modes(a) | _modes(b)
+    return match_kind(a, engine.tensor(as_arrays(a, modes), as_arrays(b, modes)))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

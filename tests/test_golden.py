@@ -2,10 +2,14 @@
 
 The files under ``tests/golden/`` were written by the CLI before the sparse
 engine was optimized; every report, demo and sweep must still reproduce them
-byte for byte.  Paths are passed relative to the repository root, because a
-run report records the circuit path it was given.
+byte for byte.  The k=5 swap chain's report (745 KB) is pinned by its
+SHA-256 instead, recorded before the array engine replaced the sparse one;
+``chain5.qc`` is ``bench/workloads.chain_circuit(5, op_rng(0, 0))``.  Paths
+are passed relative to the repository root, because a run report records
+the circuit path it was given.
 """
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -38,6 +42,17 @@ def test_output_matches_golden_bytes(argv, golden, tmp_path, monkeypatch, capsys
     assert main(argv + [str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (ROOT / GOLDEN / golden).read_bytes()
+
+
+CHAIN5_SHA256 = "c762e0adcb632114c40b73927deacbc54dc3ee426f96940a13aea1881c08a144"
+
+
+def test_chain5_report_matches_recorded_hash(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "chain5.json"
+    assert main(["run", str(GOLDEN / "chain5.qc"), "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CHAIN5_SHA256
 
 
 def chain_circuit(k: int, conventions: list[str]) -> str:

@@ -1,4 +1,4 @@
-"""The touched-mode lift: spectators on output modes, identity ops, per-op image caches."""
+"""The touched-mode lift: spectators on output modes, identity ops, memoised image tables."""
 
 from pathlib import Path
 
@@ -15,6 +15,7 @@ from aomsim import (
     apply_element,
     compile_circuit,
     dense_oracle_apply,
+    engine,
     make_aom,
     normalize,
     parse,
@@ -74,12 +75,13 @@ def test_alternating_ops_never_share_cached_images():
     ops = [aom(Convention.UNITARY), aom(Convention.PAPER_LITERAL), aom(t=0.3),
            aom(Convention.PAPER_LITERAL, t=0.8)]
     expected = [dense_oracle_apply(s, op) for op in ops]
+    engine._image_table.cache_clear()
     for _ in range(3):
         for op, want in zip(ops, expected):
             assert max_amplitude_dev(apply_element(s, op), want) < 1e-12
-    assert len({id(op._lifted) for op in ops}) == len(ops)
-    # one entry per distinct touched sub-ket and untouched factorial product
-    assert all(len(op._lifted) <= 3 for op in ops)
+    # one table per op and distinct sub-occupation of its modes: a@1 b@0 x@1 y@0
+    # reads (1,1,0,0), (2,0,0,0) and (0,1,0,0) in the three kets
+    assert engine._image_table.cache_info().currsize == 3 * len(ops)
 
 
 def test_alternating_convention_override_reproduces_fresh_runs():
