@@ -37,6 +37,7 @@ from .elements import (
     BALANCED_T,
     BandwidthCheck,
     Convention,
+    ElementOp,
     FilterSpec,
     SourceSpec,
     apply_element,
@@ -517,22 +518,27 @@ class Pipeline:
         """Evolve one occupation matrix over the mode closure, then herald and report."""
         if not self.sources:
             raise ZeroStateError("circuit has no sources; nothing to evolve")
-        modes = circuit_modes(self.sources, [e for e in self.elements if isinstance(e, AomSpec)])
+        steps: list[ElementOp | FilterSpec] = []
+        for element in self.elements:
+            if isinstance(element, AomSpec):
+                if convention_override is not None:
+                    element = dataclasses.replace(element, phase_convention=convention_override)
+                element = make_aom(element)
+            steps.append(element)
+        modes = circuit_modes(self.sources, [s for s in steps if isinstance(s, ElementOp)])
         state: engine.ArrayState | None = None
         for spec in self.sources:
             emitted = make_source(spec, modes)
             state = emitted if state is None else tensor(state, emitted)
         filter_survivals: dict[str, float] = {}
         filter_sigmas: list[float] = []
-        for element in self.elements:
-            if isinstance(element, AomSpec):
-                if convention_override is not None:
-                    element = dataclasses.replace(element, phase_convention=convention_override)
-                state = apply_element(state, make_aom(element))
+        for step in steps:
+            if isinstance(step, ElementOp):
+                state = apply_element(state, step)
             else:
-                state, survived = apply_filter(state, element)
-                filter_survivals[element.path] = survived
-                filter_sigmas.append(element.sigma)
+                state, survived = apply_filter(state, step)
+                filter_survivals[step.path] = survived
+                filter_sigmas.append(step.sigma)
         bandwidth_valid = None
         if self.pump_sigma is not None:
             bandwidth_valid = check_bandwidth(

@@ -89,6 +89,11 @@ class ElementOp:
     def output_modes(self) -> tuple[ModeLabel, ...]:
         return tuple(sorted({m for targets in self.images.values() for m, _ in targets}))
 
+    @cached_property
+    def modes(self) -> tuple[ModeLabel, ...]:
+        """Every mode the map reads or writes, sorted."""
+        return tuple(sorted({*self.images, *self.output_modes}))
+
     @staticmethod
     def identity(modes: tuple[ModeLabel, ...] | list[ModeLabel]) -> ElementOp:
         return ElementOp("identity", {m: ((m, 1.0 + 0j),) for m in modes})
@@ -211,7 +216,7 @@ def apply_element(s: StateVector | ArrayState, op: ElementOp) -> StateVector | A
     input ket's image to that ket's weight, then renormalize the total, and
     the result carries ``non_unitary=True``.
     """
-    return match_kind(s, engine.lift(as_arrays(s, {*op.images, *op.output_modes}), op))
+    return match_kind(s, engine.lift(as_arrays(s, op.modes), op))
 
 
 def make_source(spec: SourceSpec, modes: tuple[ModeLabel, ...] | None = None
@@ -226,12 +231,11 @@ def make_source(spec: SourceSpec, modes: tuple[ModeLabel, ...] | None = None
     return as_state(engine.source(spec, tuple(sorted(spec.arms + spec.alt))))
 
 
-def circuit_modes(sources, aoms) -> tuple[ModeLabel, ...]:
-    """The sorted mode closure: every mode a source emits or an AOM reads or writes."""
+def circuit_modes(sources, ops) -> tuple[ModeLabel, ...]:
+    """The sorted mode closure: every mode a source emits or an element op reads or writes."""
     modes = {m for spec in sources for m in spec.arms + spec.alt}
-    for a in aoms:
-        modes |= {a.input_a, a.input_b, ModeLabel(a.output_x, a.input_a.freq_bin),
-                  ModeLabel(a.output_y, a.input_b.freq_bin)}
+    for op in ops:
+        modes.update(op.modes)
     return tuple(sorted(modes))
 
 

@@ -21,6 +21,10 @@ map and sub-occupation, the amplitude sharing of SLOS (Heurtel et al.,
 arXiv:2206.10549).  Rows are expanded with ``np.repeat`` and duplicates are
 merged with a stable grouping on packed row keys and ``np.bincount``.
 
+Row plans (order, grouping, expansion) depend only on the occupations, so
+those of small matrices are memoised (:func:`memo_small`): the runs of a
+parameter sweep share their occupations and only redo the amplitudes.
+
 :data:`TERM_BUDGET` bounds every step: a tensor product or lift that would
 allocate more rows raises :class:`CapExceededError` first, and so does a
 lift whose image could put more photons in one mode than ``int8`` holds.
@@ -29,9 +33,8 @@ lift whose image could put more photons in one mode than ``int8`` holds.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -69,10 +72,9 @@ matrix alone takes 100 MB.
 
 MAX_OCCUPATION = int(np.iinfo(np.int8).max)
 
-# Up to this many rows, ordering and grouping run on Python lists, since
-# numpy's fixed cost per call outweighs its speed on a handful of rows, and
-# row plans are memoised (see memo_small).
-_SMALL = 32
+# Row plans of occupation matrices with at most this many rows are memoised
+# (see memo_small); the bound keeps the cached keys and plans small.
+_MEMO_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +82,8 @@ class ArrayState:
     """Occupation matrix over sorted ``modes`` plus one amplitude per row.
 
     Rows are distinct kets with nonzero amplitudes; every kernel keeps that.
+    Occupations of another integer type are converted to ``int8``, and
+    raise :class:`CapExceededError` if a count does not fit.
     """
 
     modes: tuple
@@ -87,34 +91,28 @@ class ArrayState:
     amp: np.ndarray
     non_unitary: bool = False
 
-    @cached_property
-    def terms(self) -> Mapping:
-        """Read-only ``FockKet -> amplitude`` view, as ``StateVector.terms``."""
-        return _TermView(self)
+    def __post_init__(self):
+        if self.occ.dtype != np.int8:
+            if self.occ.size and not 0 <= self.occ.min() <= self.occ.max() <= MAX_OCCUPATION:
+                raise CapExceededError(f"occupations must lie in 0..{MAX_OCCUPATION}")
+            object.__setattr__(self, "occ", self.occ.astype(np.int8))
+        if self.amp.dtype != complex:
+            object.__setattr__(self, "amp", self.amp.astype(complex))
+
+    @property
+    def terms(self) -> _TermCount:
+        """Supports ``len(state.terms)`` only, the number of terms, as for a ``StateVector``."""
+        return _TermCount(len(self.amp))
 
 
-class _TermView(Mapping):
-    """``len`` counts rows; the kets are built, in one batch, on first lookup."""
+class _TermCount:
+    __slots__ = ("n",)
 
-    def __init__(self, state: ArrayState):
-        self._state = state
-        self._terms: dict | None = None
-
-    def _dict(self) -> dict:
-        if self._terms is None:
-            from .states import as_state  # the boundary module imports this one
-
-            self._terms = as_state(self._state).terms
-        return self._terms
+    def __init__(self, n: int):
+        self.n = n
 
     def __len__(self) -> int:
-        return len(self._state.amp)
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __getitem__(self, ket):
-        return self._dict()[ket]
+        return self.n
 
 
 def _check_budget(rows: int, what: str):
@@ -181,7 +179,7 @@ def _read_only(obj):
 
 
 def memo_small(plan):
-    """Memoise ``plan(occ, *key)`` for occupation matrices of at most ``_SMALL`` rows.
+    """Memoise ``plan(occ, *key)`` for occupation matrices of at most ``_MEMO_ROWS`` rows.
 
     A plan is what a kernel does to the rows (order, grouping, expansion),
     which depends only on the occupations and ``key``; runs of one small
@@ -194,10 +192,11 @@ def memo_small(plan):
 
     @wraps(plan)
     def planned(occ: np.ndarray, *key):
-        if len(occ) <= _SMALL:
+        if len(occ) <= _MEMO_ROWS:
             return cached(occ.tobytes(), occ.shape, *key)
         return plan(occ, *key)
 
+    planned.cache_info = cached.cache_info
     return planned
 
 
@@ -210,8 +209,6 @@ def _pack(values: np.ndarray) -> list[np.ndarray]:
     Each column gets the bit width of its largest value, so comparing the
     words in order compares the rows lexicographically.
     """
-    if not values.shape[0]:
-        return [np.zeros(0, dtype=np.int64)]
     weights = [[0] * values.shape[1]]  # per word, the weight of each column
     used = 0
     for j, width in reversed(list(enumerate(
@@ -231,14 +228,8 @@ def _group(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Groups are numbered in lexicographic row order, and a group's first row
     is its first occurrence.
     """
-    if len(values) <= _SMALL:
-        keys = list(map(tuple, values.tolist()))
-        index = {k: i for i, k in enumerate(sorted(set(keys)))}
-        ids = [index[k] for k in keys]
-        first = [0] * len(index)
-        for row in range(len(ids) - 1, -1, -1):
-            first[ids[row]] = row
-        return np.array(ids, dtype=np.intp), np.array(first, dtype=np.intp)
+    if not len(values):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     words = _pack(values)
     order = np.lexsort(words[::-1])  # stable, so each group starts at its first row
     new = np.zeros(len(order), dtype=bool)
@@ -261,10 +252,8 @@ def ket_order(occ: np.ndarray) -> np.ndarray:
     left at all, since a tuple that ends first is smaller.
     """
     rows, cols = occ.shape
-    if rows <= _SMALL:
-        lists = occ.tolist()
-        return np.array(sorted(range(rows), key=lambda r: [
-            (j, n) for j, n in enumerate(lists[r]) if n]), dtype=np.intp)
+    if not rows:
+        return np.zeros(0, dtype=np.intp)
     occupied = occ != 0
     # one past each row's last occupied column (0 for the vacuum)
     end = np.where(occupied.any(axis=1), cols - np.argmax(occupied[:, ::-1], axis=1), 0)
@@ -313,7 +302,8 @@ def tensor(a: ArrayState, b: ArrayState) -> ArrayState:
     if a.modes != b.modes:
         raise ValueError("tensor operands must share their columns")
     _check_budget(len(a.amp) * len(b.amp), "tensor product")
-    oa, ob, occ = _tensor_plan(a.occ, a.modes, b.occ.tobytes(), b.occ.shape)
+    plan = _tensor_plan if len(b.amp) <= _MEMO_ROWS else _tensor_plan.__wrapped__
+    oa, ob, occ = plan(a.occ, a.modes, b.occ.tobytes(), b.occ.shape)
     amp = _cmul(a.amp[oa][:, None], b.amp[ob][None, :]).ravel()
     keep = _nonzero(amp)
     return ArrayState(a.modes, occ[keep], amp[keep], a.non_unitary or b.non_unitary)
@@ -439,7 +429,7 @@ def lift(state: ArrayState, op) -> ArrayState:
     the norm.  Literal maps rescale each input ket's image to that ket's
     weight, then renormalize the total, and flag the result ``non_unitary``.
     """
-    op_modes = tuple(sorted({*op.images, *op.output_modes}))
+    op_modes = op.modes
     missing = set(op_modes) - set(state.modes)
     if missing:
         raise ValueError(f"{op.name}: modes {sorted(missing)} are not columns of the state")

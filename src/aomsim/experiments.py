@@ -274,10 +274,11 @@ def run_swap(alpha: float = math.pi / 4, convention: Convention = Convention.UNI
                    phase_convention=convention)
     aom2 = AomSpec("AOM2", _m("3'", 1), _m("2'", 0), output_x="T2'", output_y="T2",
                    phase_convention=convention)
-    modes = circuit_modes((s1, s2), (aom1, aom2))
+    ops = (make_aom(aom1), make_aom(aom2))
+    modes = circuit_modes((s1, s2), ops)
     state = tensor(make_source(s1, modes), make_source(s2, modes))
-    state = apply_element(state, make_aom(aom1))
-    state = apply_element(state, make_aom(aom2))
+    for op in ops:
+        state = apply_element(state, op)
     outcomes = post_select(state, swap_herald_rule())
 
     success = 0.0
@@ -325,9 +326,10 @@ def run_ghz(alpha: float = math.pi / 4, convention: Convention = Convention.UNIT
     s1, s2 = swap_sources(alpha)
     aom = AomSpec("AOM", _m("2", 1), _m("3", 0), output_x="T'", output_y="T",
                   phase_convention=convention)
-    modes = circuit_modes((s1, s2), (aom,))
+    op = make_aom(aom)
+    modes = circuit_modes((s1, s2), (op,))
     state = tensor(make_source(s1, modes), make_source(s2, modes))
-    state = apply_element(state, make_aom(aom))
+    state = apply_element(state, op)
     filter_t = FilterSpec("T", pass_bin=0, sigma=1.0)
     filter_tp = FilterSpec("T'", pass_bin=1, sigma=1.0)
     state, _ = apply_filter(state, filter_t)

@@ -30,9 +30,9 @@ CONVENTIONS = (Convention.UNITARY, Convention.PAPER_LITERAL)
 
 def evolve_arrays(state: StateVector, aoms: list[AomSpec]):
     """Each AOM's input and output on one occupation matrix over the circuit's modes."""
-    arrays = as_arrays(state, circuit_modes((), aoms))
-    for spec in aoms:
-        op = make_aom(spec)
+    ops = [make_aom(spec) for spec in aoms]
+    arrays = as_arrays(state, circuit_modes((), ops))
+    for op in ops:
         before = arrays
         arrays = apply_element(arrays, op)
         assert isinstance(arrays, engine.ArrayState)
@@ -105,15 +105,13 @@ def test_chain_k6_exact_answers():
         assert o.metrics["entropy[L0,L0']"] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("small", [0, 10_000])
-def test_ket_order_and_grouping_match_python_on_both_paths(small, monkeypatch):
-    monkeypatch.setattr(engine, "_SMALL", small)
+def test_ket_order_and_grouping_match_python_sorting():
     rng = np.random.default_rng(5)
     modes = tuple(M(p, b) for p in "abc" for b in range(3))
-    for _ in range(40):
-        occ = rng.integers(0, 3, size=(int(rng.integers(1, 60)), len(modes))).astype(np.int8)
-        occ[rng.random(len(occ)) < 0.1] = 0  # a few vacuum rows
-        kets = [FockKet({m: int(n) for m, n in zip(modes, row)}) for row in occ]
+    for n in [0, 1, 2, *rng.integers(3, 60, size=37).tolist()]:
+        occ = rng.integers(0, 3, size=(n, len(modes))).astype(np.int8)
+        occ[rng.random(n) < 0.1] = 0  # a few vacuum rows
+        kets = [FockKet({m: int(c) for m, c in zip(modes, row)}) for row in occ]
         order = engine.ket_order(occ)
         assert [kets[i] for i in order] == sorted(kets)
         ids, first = engine._group(occ)
@@ -137,9 +135,20 @@ def test_memoised_small_plans_match_fresh_vectorised_runs(monkeypatch):
                 for o in result.outcomes]
 
     memoised = {alpha: [terms(alpha), terms(alpha)] for alpha in (0.3, 0.7)}
-    monkeypatch.setattr(engine, "_SMALL", 0)  # no memo, numpy ordering and grouping
+    monkeypatch.setattr(engine, "_MEMO_ROWS", 0)  # no memo
     for alpha, runs in memoised.items():
         assert runs[0] == runs[1] == terms(alpha)
+
+
+def test_tensor_plan_is_memoised_only_for_two_small_operands():
+    modes = (M("a", 0), M("b", 0))
+    small = engine.ArrayState(modes, np.array([[1, 0], [2, 0]], dtype=np.int8), np.ones(2, complex))
+    big = engine.ArrayState(modes, np.array([[0, n] for n in range(1, 41)], dtype=np.int8),
+                            np.ones(40, complex))
+    before = engine._tensor_plan.cache_info()
+    engine.tensor(small, big)
+    after = engine._tensor_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_tensor_over_budget_raises(monkeypatch):
@@ -168,3 +177,17 @@ def test_cli_exits_1_when_a_chain_exceeds_the_term_budget(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "budget" in err and "Traceback" not in err
+
+
+def test_array_state_takes_occupations_of_any_integer_type():
+    modes = (M("a", 1), M("b", 0), M("x", 1), M("y", 0))
+    op = make_aom(AomSpec("A", M("a", 1), M("b", 0), "x", "y"))
+    occ, amp = [[1, 1, 0, 0], [2, 0, 0, 0]], np.array([0.6, 0.8j])
+    narrow = engine.ArrayState(modes, np.array(occ, dtype=np.int8), amp)
+    wide = engine.ArrayState(modes, np.array(occ, dtype=np.int64), np.array([0.6, 0.8j]))
+    assert wide.occ.dtype == np.int8 and len(wide.terms) == 2
+    want, got = engine.lift(narrow, op), engine.lift(wide, op)
+    assert got.occ.tolist() == want.occ.tolist() and got.amp.tolist() == want.amp.tolist()
+    for bad in ([[200, 0, 0, 0]], [[-1, 0, 0, 0]]):
+        with pytest.raises(CapExceededError):
+            engine.ArrayState(modes, np.array(bad), np.ones(1, complex))
