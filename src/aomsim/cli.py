@@ -5,22 +5,32 @@ errors (diagnostics on stderr with line numbers), 1 runtime errors and any
 unexpected exception (one line on stderr, no traceback).  Machine
 output (JSON reports, CSV sweeps) is deterministic: no timestamps, sorted
 keys, floats at 12 significant digits.
+
+A run report is encoded in one batch from the engine's rows of the outcome
+states (``HeraldOutcome.rows``), never from kets: the rows are put in ket
+order and grouped by outcome, each ``[path,bin,n]`` fragment and each
+distinct amplitude is encoded once, and the compact text is assembled from
+small ``json.dumps`` pieces with sorted keys.  ``--pretty`` re-indents that
+text; float reprs round-trip, so only whitespace changes.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
+from . import engine
 from .dsl import Pipeline, PipelineResult, compile_circuit, parse
 from .elements import Convention
 from .errors import CompileError, SimulatorError
 from .experiments import GhzResult, HeraldOutcome, SwapResult, run_ghz, run_swap
-from .states import StateVector
 
 SCHEMA_VERSION = 1
 
@@ -47,48 +57,104 @@ def _round_floats(obj):
     return obj
 
 
-class _PairLists(dict):
-    """``(mode, n)`` pair -> its ``[path, bin, n]`` JSON list, one list per pair.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-    A report reuses the list wherever the pair occurs, instead of building a
-    new one per term; the serialized bytes are the same.
+
+def _compact(obj) -> str:
+    """``obj`` as compact JSON with sorted keys, every float rounded."""
+    return _ENCODER.encode(_round_floats(obj))
+
+
+def _floats_json(x: np.ndarray) -> list[str]:
+    """Each (finite) float rounded to 12 significant digits, as JSON; each value encoded once."""
+    texts: dict[int, str] = {}  # keyed by bit pattern, which keeps -0.0 apart from 0.0
+    return [texts[b] if b in texts else texts.setdefault(b, repr(_sig12(v)))
+            for b, v in zip(x.view(np.int64).tolist(), x.tolist())]
+
+
+@engine.memo_small
+def _term_plan(occ: np.ndarray, modes: tuple, sizes: tuple[int, ...]):
+    """Term order of a report's outcome states, and each term's ``modes`` text in that order.
+
+    ``occ`` holds the outcomes' rows one after another, ``sizes[i]`` rows
+    for outcome ``i``; terms are listed outcome by outcome, in ket order
+    within each.  Every ``[path,bin,n]`` fragment is encoded once, and the
+    rows with the same number of occupied modes are joined in one block.
     """
+    outcome = np.repeat(np.arange(len(sizes)), sizes)
+    order = engine.ket_order(occ)
+    order = order[np.argsort(outcome[order], kind="stable")]
+    occ = occ[order]
+    rows, cols = np.nonzero(occ)
+    base = engine.MAX_OCCUPATION + 1
+    codes = cols * base + occ[rows, cols]
+    fragments = np.empty(len(modes) * base, dtype=object)
+    for c in np.flatnonzero(np.bincount(codes, minlength=len(fragments))).tolist():
+        path, freq_bin = modes[c // base]
+        fragments[c] = _compact([path, freq_bin, c % base])
+    flat = fragments[codes]
+    lengths = np.bincount(rows, minlength=len(occ))
+    starts = np.cumsum(lengths) - lengths
+    texts = [""] * len(occ)
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        chosen = np.flatnonzero(lengths == n)
+        block = flat[starts[chosen][:, None] + np.arange(n)].tolist()
+        for i, text in zip(chosen.tolist(), map(",".join, block)):
+            texts[i] = text
+    return order, tuple(texts)
 
-    def __missing__(self, pair):
-        item = self[pair] = [pair[0][0], pair[0][1], pair[1]]
-        return item
+
+def _terms_json(outcomes: list[HeraldOutcome]) -> list[str]:
+    """Every term of the outcome states as text, outcome after outcome, in ket order within each.
+
+    The states share their columns, as the outcomes of one herald do.  Each
+    term starts with what precedes it in its state's list: ``[`` for the
+    first term, ``,`` for the others.  Amplitudes are rounded to 12
+    significant digits.
+    """
+    states = [o.rows for o in outcomes if o.rows is not None]
+    if not states:
+        return []
+    sizes = tuple(len(s.amp) for s in states)
+    order, mode_texts = _term_plan(np.concatenate([s.occ for s in states]), states[0].modes,
+                                   sizes)
+    amp = np.concatenate([s.amp for s in states])[order]
+    leads = [","] * len(amp)
+    first = 0
+    for size in sizes:
+        if size:
+            leads[first] = "["
+        first += size
+    return [f'{lead}{{"im":{im},"modes":[{m}],"re":{re}}}'
+            for lead, re, im, m in zip(leads, _floats_json(amp.real), _floats_json(amp.imag),
+                                       mode_texts)]
 
 
-def _state_json(state: StateVector | None, pairs: _PairLists) -> list[dict] | None:
-    """Terms of a state in ket order, amplitudes already rounded."""
-    if state is None:
-        return None
-    lists = pairs.__getitem__
-    return [
-        {
-            "modes": list(map(lists, k.items())),
-            "re": _sig12(amp.real),
-            "im": _sig12(amp.imag),
-        }
-        for k, amp in state.sorted_items()
-    ]
+def _outcomes_json(outcomes: list[HeraldOutcome]) -> list[str]:
+    """The report's ``outcomes`` list as pieces of text, to be joined once.
 
-
-def _outcome_json(o: HeraldOutcome, pairs: _PairLists) -> dict:
-    out = _round_floats({
-        "label": o.label,
-        "accepted": o.accepted,
-        "probability": o.probability,
-        "metrics": dict(sorted(o.metrics.items())),
-    })
-    out["state"] = _state_json(o.conditional_state, pairs)
-    return out
+    A report is mostly its outcome states' terms; keeping each term a piece
+    of its own builds the report in one join, with no per-state copy.
+    """
+    terms = iter(_terms_json(outcomes))
+    pieces = ["["]
+    for i, o in enumerate(outcomes):
+        head = _compact({"accepted": o.accepted, "label": o.label, "metrics": o.metrics,
+                         "probability": o.probability})
+        pieces.append(f'{"," if i else ""}{head[:-1]},"state":')  # "state" sorts last
+        if o.rows is None:
+            pieces.append("null}")
+        elif len(o.rows.amp):
+            pieces += itertools.islice(terms, len(o.rows.amp))
+            pieces.append("]}")
+        else:
+            pieces.append("[]}")
+    pieces.append("]")
+    return pieces
 
 
 def _flags(outcomes: list[HeraldOutcome], bandwidth_valid: bool | None) -> dict:
-    non_unitary = any(
-        o.conditional_state.non_unitary for o in outcomes if o.conditional_state is not None
-    )
+    non_unitary = any(o.rows.non_unitary for o in outcomes if o.rows is not None)
     return {"bandwidth_valid": bandwidth_valid, "non_unitary": non_unitary}
 
 
@@ -100,30 +166,27 @@ def _report(
     metrics: dict[str, float],
     bandwidth_valid: bool | None,
     extra: dict | None = None,
-) -> dict:
-    """The run report with every float rounded to 12 significant digits."""
-    report = {
+) -> str:
+    """The run report as compact JSON: sorted keys, floats at 12 significant digits."""
+    fields = {
         "schema_version": SCHEMA_VERSION,
         "circuit": circuit,
         "convention": convention.value,
         "success_probability": success,
-        "metrics": dict(sorted(metrics.items())),
+        "metrics": metrics,
         "flags": _flags(outcomes, bandwidth_valid),
+        **(extra or {}),
     }
-    if extra:
-        report.update(extra)
-    report = _round_floats(report)
-    # outcome states are the bulk of a report; _state_json rounds them itself
-    pairs = _PairLists()
-    report["outcomes"] = [_outcome_json(o, pairs) for o in outcomes]
-    return report
+    # "circuit" sorts before "outcomes" and "schema_version" after it
+    head = _compact({k: v for k, v in fields.items() if k < "outcomes"})
+    tail = _compact({k: v for k, v in fields.items() if k > "outcomes"})
+    return "".join([head[:-1], ',"outcomes":', *_outcomes_json(outcomes), ",", tail[1:]])
 
 
-def _write_json(report: dict, path: str, pretty: bool):
-    indent = 2 if pretty else None
-    text = json.dumps(report, sort_keys=True, indent=indent,
-                      separators=None if pretty else (",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+def _write_json(report: str, path: str, pretty: bool):
+    if pretty:  # float reprs round-trip, so this only changes whitespace
+        report = json.dumps(json.loads(report), sort_keys=True, indent=2)
+    Path(path).write_text(report + "\n", encoding="utf-8")
 
 
 def _print_outcomes(outcomes: list[HeraldOutcome]):
@@ -200,18 +263,15 @@ def cmd_demo(args) -> int:
     if args.name == "swap":
         result = run_swap(alpha=args.alpha, convention=convention)
         _print_swap(result)
-        report = _report("demo:swap", convention, result.outcomes,
-                         result.success_probability, result.metrics, None,
-                         {"alpha": result.alpha})
+        bandwidth_valid, extra = None, {"alpha": result.alpha}
     else:
         result = run_ghz(alpha=args.alpha, convention=convention)
         _print_ghz(result)
-        report = _report("demo:ghz", convention, result.outcomes,
-                         result.success_probability, result.metrics,
-                         result.bandwidth_valid,
-                         {"alpha": result.alpha,
-                          "per_detector": dict(sorted(result.per_detector.items()))})
+        bandwidth_valid = result.bandwidth_valid
+        extra = {"alpha": result.alpha, "per_detector": result.per_detector}
     if args.json:
+        report = _report(f"demo:{args.name}", convention, result.outcomes,
+                         result.success_probability, result.metrics, bandwidth_valid, extra)
         _write_json(report, args.json, args.pretty)
     return 0
 
@@ -248,10 +308,17 @@ def cmd_sweep(args) -> int:
     if not args.alpha_from < args.alpha_to:
         print("error: --alpha-from must be below --alpha-to", file=sys.stderr)
         return 2
+
+    def alpha_at(i: int) -> float:
+        return args.alpha_from + i * (args.alpha_to - args.alpha_from) / (args.steps - 1)
+
+    if not math.isfinite(alpha_at(args.steps - 1)):  # the largest step bounds the others
+        print("error: --alpha-from and --alpha-to are too far apart", file=sys.stderr)
+        return 2
     convention = Convention(args.convention)
     rows = []
     for i in range(args.steps):
-        alpha = args.alpha_from + i * (args.alpha_to - args.alpha_from) / (args.steps - 1)
+        alpha = alpha_at(i)
         result = run_ghz(alpha=alpha, convention=convention)
         accepted = [o for o in result.outcomes if o.accepted]
         fidelity = min((o.metrics["ghz_fidelity"] for o in accepted), default=0.0)

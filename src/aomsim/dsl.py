@@ -551,7 +551,7 @@ class Pipeline:
                 HeraldOutcome(
                     label="all",
                     probability=engine.norm(state.amp) ** 2,
-                    conditional_state=as_state(state),
+                    rows=state,
                     accepted=True,
                 )
             ]

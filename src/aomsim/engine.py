@@ -53,6 +53,7 @@ __all__ = [
     "ket_order",
     "norm",
     "unit",
+    "unit_parts",
     "normalize",
     "source",
     "tensor",
@@ -71,6 +72,8 @@ matrix alone takes 100 MB.
 """
 
 MAX_OCCUPATION = int(np.iinfo(np.int8).max)
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 # Row plans of occupation matrices with at most this many rows are memoised
 # (see memo_small); the bound keeps the cached keys and plans small.
@@ -146,8 +149,18 @@ def _nonzero(amp: np.ndarray) -> np.ndarray:
 
 
 def norm(amp: np.ndarray) -> float:
-    """Euclidean norm summed in row order, as ``StateVector.norm`` sums its terms."""
-    return math.sqrt(sum(abs(a) ** 2 for a in amp.tolist()))
+    """Euclidean norm summed in row order, as ``StateVector.norm`` sums its terms.
+
+    If the sum of squares falls below the smallest normal float, the
+    amplitudes are scaled by their largest magnitude first, so a tiny
+    nonzero state keeps its precision and never has norm 0.
+    """
+    total = sum(abs(a) ** 2 for a in amp.tolist())
+    if total < _SMALLEST_NORMAL:
+        peak = float(np.abs(amp).max(initial=0.0))
+        if peak > 0.0:
+            return peak * math.sqrt(sum((abs(a) / peak) ** 2 for a in amp.tolist()))
+    return math.sqrt(total)
 
 
 def unit(amp: np.ndarray, n: float | None = None) -> np.ndarray:
@@ -158,7 +171,28 @@ def unit(amp: np.ndarray, n: float | None = None) -> np.ndarray:
     n = norm(amp) if n is None else n
     if n == 0.0:
         raise ZeroStateError("cannot normalize a zero state")
+    if n < _SMALLEST_NORMAL:  # 1 / n would overflow
+        return _cdiv(amp, n)
     return _cmul(amp, complex(1.0 / n))
+
+
+def unit_parts(amp: np.ndarray, parts: list) -> tuple[list[float], np.ndarray]:
+    """Norm of each part of ``amp``, and every row over its part's norm.
+
+    A part is a slice or an index array of rows; parts are disjoint.  Each
+    part is scaled as :func:`unit` scales a vector, all in one pass; rows
+    of a part with norm 0 (an empty part) keep their amplitudes.
+    """
+    norms = [norm(amp[rows]) for rows in parts]
+    inverse = np.ones(len(amp))
+    for rows, n in zip(parts, norms):
+        if n >= _SMALLEST_NORMAL:
+            inverse[rows] = 1.0 / n
+    out = _cmul(amp, inverse)
+    for rows, n in zip(parts, norms):
+        if 0.0 < n < _SMALLEST_NORMAL:
+            out[rows] = unit(amp[rows], n)
+    return norms, out
 
 
 def normalize(state: ArrayState) -> ArrayState:
@@ -465,12 +499,11 @@ def filter_rows(state: ArrayState, path: str, pass_bin: int) -> tuple[ArrayState
         keep = ~(occ[:, blocked] != 0).any(axis=1)
         occ, amp = occ[keep], amp[keep]
     n = norm(amp)
-    prob = n ** 2
-    if prob == 0.0:
+    if n == 0.0:
         raise ZeroStateError(f"filter on {path} (pass bin {pass_bin}) removed every term")
     amp = unit(amp, n)
     keep = _nonzero(amp)
-    return ArrayState(state.modes, occ[keep], amp[keep], state.non_unitary), prob
+    return ArrayState(state.modes, occ[keep], amp[keep], state.non_unitary), n ** 2
 
 
 def _path_counts(occ: np.ndarray, modes: tuple, paths) -> np.ndarray:

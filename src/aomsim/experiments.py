@@ -6,8 +6,9 @@ over the AOM output paths.  :func:`post_select` is the shared heralding
 primitive: it partitions a state by the per-path photon-count pattern over
 the paths a rule mentions, accepts the patterns whose per-clause totals match
 exactly, and lumps everything else into one discard bucket.  It groups the
-rows of an array state (:mod:`aomsim.engine`) and builds the kets of all
-outcome states in one batch.
+rows of an array state (:mod:`aomsim.engine`), gives each outcome its rows,
+and builds the kets of the shown outcomes in one batch; the discard bucket's
+kets are built only when its state is asked for.
 
 The swap layout (two AOMs) projects the two untouched outer photons onto a
 maximally frequency-entangled pair whenever exactly one photon exits each
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .states import (
     ModeLabel,
     StateVector,
     as_arrays,
+    as_state,
     entanglement_entropy,
     kets,
     state_of,
@@ -115,14 +118,23 @@ class HeraldRule:
 
 @dataclass
 class HeraldOutcome:
-    """One heralded branch: its probability and post-herald state."""
+    """One heralded branch: its probability and post-herald state.
+
+    ``rows`` is the conditional state as the engine holds it, ``None`` for
+    an empty discard bucket; ``conditional_state`` builds its kets on first
+    use.
+    """
 
     label: str
     probability: float
-    conditional_state: StateVector | None
+    rows: ArrayState | None = field(repr=False)
     accepted: bool
     pattern: tuple[tuple[str, int], ...] | None = None
     metrics: dict[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def conditional_state(self) -> StateVector | None:
+        return None if self.rows is None else as_state(self.rows)
 
 
 @dataclass
@@ -156,26 +168,28 @@ def _pattern_label(paths: tuple[str, ...], pattern: tuple[int, ...]) -> str:
 def _herald_plan(occ, modes: tuple, rule: HeraldRule):
     """Row order and outcomes of a herald: ``(order, [(label, pattern, accepted, rows, kets)])``.
 
-    ``rows`` index the state's rows taken in ``order``; the kets of every
-    outcome are built here, in one batch.  Rejected patterns form one
-    discard bucket, in pattern order, unless the rule keeps them apart.
+    ``rows`` index the state's rows taken in ``order``.  The kets of the
+    shown patterns are built here, in one batch; the discard bucket, made
+    of the rejected patterns in pattern order unless the rule keeps them
+    apart, has ``kets`` None and builds its own on demand.
     """
     paths = rule.paths()
     order, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
-    terms = kets(modes, occ[order])
+    shown = accepted if rule.discard_complement else np.ones(len(sizes), dtype=bool)
+    terms = kets(modes, occ[order][np.repeat(shown, sizes)])
+    groups = np.flatnonzero(accepted).tolist() + np.flatnonzero(~accepted & shown).tolist()
     starts = (np.cumsum(sizes) - sizes).tolist()
-    shown = np.flatnonzero(accepted).tolist()
-    if not rule.discard_complement:
-        shown += np.flatnonzero(~accepted).tolist()
+    shown_starts = (np.cumsum(sizes * shown) - sizes * shown).tolist()
     outcomes = []
-    for g in shown:
+    for g in groups:
         pattern = tuple(patterns[g].tolist())
-        start, stop = starts[g], starts[g] + int(sizes[g])
+        size = int(sizes[g])
         outcomes.append((_pattern_label(paths, pattern), tuple(zip(paths, pattern)),
-                         bool(accepted[g]), slice(start, stop), tuple(terms[start:stop])))
+                         bool(accepted[g]), slice(starts[g], starts[g] + size),
+                         terms[shown_starts[g]:shown_starts[g] + size]))
     if rule.discard_complement:
-        rows = np.flatnonzero(np.repeat(~accepted, sizes))
-        outcomes.append(("discard", None, False, rows, tuple(terms[i] for i in rows.tolist())))
+        outcomes.append(("discard", None, False, np.flatnonzero(np.repeat(~accepted, sizes)),
+                         None))
     return order, outcomes
 
 
@@ -189,17 +203,21 @@ def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOut
     """
     state = as_arrays(s)
     order, plan = _herald_plan(state.occ, state.modes, rule)
-    amps = state.amp[order]
+    occ = state.occ[order]
+    norms, amps = engine.unit_parts(state.amp[order], [rows for _, _, _, rows, _ in plan])
+    nonzero = np.hypot(amps.real, amps.imag) > 0.0  # a tiny amplitude can underflow to 0
+    every = nonzero.all()
     outcomes = []
-    for label, pattern, accepted, rows, terms in plan:
-        amp = amps[rows]
-        n = engine.norm(amp)
-        conditional = None
-        if pattern is not None or n ** 2 > 0.0:  # an empty discard bucket has no state
-            conditional = state_of(terms, engine.unit(amp, n), state.non_unitary)
-        outcomes.append(HeraldOutcome(label=label, probability=n ** 2,
-                                      conditional_state=conditional, accepted=accepted,
-                                      pattern=pattern))
+    for (label, pattern, accepted, rows, terms), n in zip(plan, norms):
+        outcome = HeraldOutcome(label=label, probability=n ** 2, rows=None,
+                                accepted=accepted, pattern=pattern)
+        if pattern is not None or n > 0.0:  # an empty discard bucket has no state
+            keep = slice(None) if every else nonzero[rows]
+            outcome.rows = ArrayState(state.modes, occ[rows][keep], amps[rows][keep],
+                                      state.non_unitary)
+            if terms is not None:
+                outcome.conditional_state = state_of(terms, amps[rows], state.non_unitary)
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -238,9 +256,10 @@ def _combined_accepted(outcomes: list[HeraldOutcome]) -> StateVector | None:
         flag = flag or o.conditional_state.non_unitary
         for k, amp in o.conditional_state.terms.items():
             terms[k] = terms.get(k, 0j) + w * amp
-    if not terms:
+    combined = StateVector(terms, non_unitary=flag)
+    if not combined.terms:  # no accepted component, or its weight underflowed to 0
         return None
-    return normalize(StateVector(terms, non_unitary=flag))
+    return normalize(combined)
 
 
 def swap_sources(alpha: float) -> tuple[SourceSpec, SourceSpec]:

@@ -32,16 +32,7 @@ DEFAULT_PHOTON_CAP = 4
 
 def permanent(a: np.ndarray) -> complex:
     """Permanent of a square matrix via Ryser's inclusion-exclusion formula."""
-    a = np.asarray(a, dtype=complex)
-    p = a.shape[0]
-    if p == 0:
-        return 1.0 + 0j
-    total = 0j
-    for mask in range(1, 1 << p):
-        cols = [j for j in range(p) if mask >> j & 1]
-        sign = -1.0 if (p - len(cols)) % 2 else 1.0
-        total += sign * np.prod(a[:, cols].sum(axis=1))
-    return complex(total)
+    return complex(_permanents_stacked(np.asarray(a, dtype=complex)[None])[0])
 
 
 def _permanents_stacked(stack: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Circuit language: parsing, diagnostics, formatting, compiled pipelines."""
 
+import contextlib
+import io
 import math
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aomsim import CompileError, Convention, compile_circuit, format_circuit, parse
+from aomsim.cli import main
 from aomsim.dsl import (
     AomStmt,
     CheckStmt,
@@ -175,6 +178,59 @@ def test_error_positions_point_inside_offending_token():
 def test_parse_is_total(text):
     result = parse(text)
     assert isinstance(result, (CircuitAst, list))
+
+
+# numbers at the edges of the value domain: non-finite, signed zero, negative,
+# subnormal, huge
+EDGE_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-320, 1e308, -1e308]),
+    st.floats(),
+)
+
+
+def run_cli_cleanly(argv, report=None):
+    """Run the CLI; it must exit 0 or 2 with no traceback, and write only finite numbers."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0 and report is not None:
+        text = report.read_text()
+        for token in ("NaN", "Infinity", "nan", "inf"):
+            assert token not in text.replace(str(report.parent), "")
+    return code
+
+
+@given(alpha=EDGE_NUMBERS, t=EDGE_NUMBERS, sigma=EDGE_NUMBERS, pump=EDGE_NUMBERS)
+@settings(max_examples=60, deadline=None)
+def test_circuit_numbers_exit_cleanly(tmp_path_factory, alpha, t, sigma, pump):
+    folder = tmp_path_factory.mktemp("values")
+    circuit, report = folder / "c.qc", folder / "r.json"
+    circuit.write_text(
+        f"source S1 arms=(1@0,2@1) alt=(1'@1,2'@0) alpha={alpha!r}\n"
+        f"source S2 arms=(3@0,4@1) alt=(3'@1,4'@0) alpha={alpha!r}\n"
+        f"aom A in=(2@1,3@0) out=(T',T) t={t!r}\n"
+        f"filter FT path=T pass=0 sigma={sigma!r}\n"
+        f"check bandwidth pump={pump!r}\n"
+        "herald count(T,T')==1\n"
+        "report ghz a=(1@0,3'@1,4'@0) b=(1'@1,2'@0,4@1)\n"
+    )
+    finite = all(math.isfinite(v) for v in (alpha, t, sigma, pump))
+    code = run_cli_cleanly(["run", str(circuit), "--json", str(report)], report)
+    assert code == 2 or finite
+
+
+@given(alpha=EDGE_NUMBERS, lo=EDGE_NUMBERS, hi=EDGE_NUMBERS, demo=st.sampled_from(["swap", "ghz"]))
+@settings(max_examples=60, deadline=None)
+def test_demo_and_sweep_numbers_exit_cleanly(tmp_path_factory, alpha, lo, hi, demo):
+    folder = tmp_path_factory.mktemp("values")
+    report, table = folder / "r.json", folder / "s.csv"
+    code = run_cli_cleanly(["demo", demo, f"--alpha={alpha!r}", "--json", str(report)], report)
+    assert (code == 0) == math.isfinite(alpha)
+    code = run_cli_cleanly(["sweep", "ghz", f"--alpha-from={lo!r}", f"--alpha-to={hi!r}",
+                            "--steps", "3", "--csv", str(table)], table)
+    assert code == 2 or lo < hi
 
 
 # ---------------------------------------------------------------- formatting

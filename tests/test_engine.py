@@ -191,3 +191,24 @@ def test_array_state_takes_occupations_of_any_integer_type():
     for bad in ([[200, 0, 0, 0]], [[-1, 0, 0, 0]]):
         with pytest.raises(CapExceededError):
             engine.ArrayState(modes, np.array(bad), np.ones(1, complex))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-320])
+def test_norm_and_unit_of_tiny_amplitudes(scale):
+    """Squares that underflow neither zero the norm nor lose the state's shape."""
+    amp = np.array([3 * scale, 4j * scale])
+    assert engine.norm(amp) == pytest.approx(5 * scale, rel=1e-3 if scale < 1e-308 else 1e-15)
+    assert np.allclose(engine.unit(amp), [0.6, 0.8j], atol=1e-3)
+    norms, units = engine.unit_parts(np.concatenate([amp, [0.6, 0.8]]), [slice(0, 2), slice(2, 4)])
+    assert norms[1] == 1.0 and np.allclose(units, [0.6, 0.8j, 0.6, 0.8], atol=1e-3)
+
+
+def test_unit_parts_scales_each_part_as_unit_does():
+    rng = np.random.default_rng(3)
+    amp = rng.normal(size=9) + 1j * rng.normal(size=9)
+    parts = [slice(0, 4), np.array([4, 6, 8]), np.array([5, 7]), np.array([], dtype=np.intp)]
+    norms, units = engine.unit_parts(amp, parts)
+    assert norms[-1] == 0.0
+    for rows, n in zip(parts[:-1], norms):
+        assert n == engine.norm(amp[rows])
+        assert units[rows].tobytes() == engine.unit(amp[rows], n).tobytes()

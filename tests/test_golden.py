@@ -1,8 +1,9 @@
 """Byte-identical outputs against stored golden files, and the swap chain's exact answers.
 
 The files under ``tests/golden/`` were written by the CLI before the sparse
-engine was optimized; every report, demo and sweep must still reproduce them
-byte for byte.  The k=5 swap chain's report (745 KB) is pinned by its
+engine was optimized, and the two ``*_pretty.json`` files (``--pretty``
+output) before the run reports were encoded in one batch; every report, demo
+and sweep must still reproduce them byte for byte.  The k=5 swap chain's report (745 KB) is pinned by its
 SHA-256 instead, recorded before the array engine replaced the sparse one;
 ``chain5.qc`` is ``bench/workloads.chain_circuit(5, op_rng(0, 0))``.  Paths
 are passed relative to the repository root, because a run report records
@@ -26,6 +27,8 @@ CASES = [
     (["run", "circuits/ghz.qc", "--json"], "run_ghz.json"),
     (["run", str(GOLDEN / "chain3.qc"), "--json"], "chain3.json"),
     (["sweep", "ghz", "--steps", "17", "--convention", "paper", "--csv"], "sweep_ghz.csv"),
+    (["run", str(GOLDEN / "chain3.qc"), "--pretty", "--json"], "chain3_pretty.json"),
+    (["demo", "ghz", "--pretty", "--json"], "demo_ghz_unitary_pi4_pretty.json"),
 ] + [
     (["demo", demo, "--convention", conv] + (["--alpha", alpha] if alpha else []) + ["--json"],
      f"demo_{demo}_{conv}_{tag}.json")
