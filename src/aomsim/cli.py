@@ -31,6 +31,7 @@ from .dsl import Pipeline, PipelineResult, compile_circuit, parse
 from .elements import Convention
 from .errors import CompileError, SimulatorError
 from .experiments import GhzResult, HeraldOutcome, SwapResult, run_ghz, run_swap
+from .states import as_arrays, as_state, row_pieces
 
 SCHEMA_VERSION = 1
 
@@ -72,52 +73,52 @@ def _floats_json(x: np.ndarray) -> list[str]:
             for b, v in zip(x.view(np.int64).tolist(), x.tolist())]
 
 
-@engine.memo_small
-def _term_plan(occ: np.ndarray, modes: tuple, sizes: tuple[int, ...]):
-    """Term order of a report's outcome states, and each term's ``modes`` text in that order.
+def _fragment(mode, n: int) -> str:
+    """``[path,bin,n]`` as compact JSON."""
+    return f"[{_ENCODER.encode(mode[0])},{mode[1]},{n}]"
 
-    ``occ`` holds the outcomes' rows one after another, ``sizes[i]`` rows
-    for outcome ``i``; terms are listed outcome by outcome, in ket order
-    within each.  Every ``[path,bin,n]`` fragment is encoded once, and the
-    rows with the same number of occupied modes are joined in one block.
+
+# Up to this many rows, Python lists order and join a report's rows faster
+# than numpy, whose fixed cost per call then dominates.
+_FEW_ROWS = 32
+
+
+def _term_plan(occ: np.ndarray, modes: tuple, sizes: list[int]):
+    """Term order of outcome states' rows, and each term's ``modes`` text in that order.
+
+    ``occ`` holds the states' rows one after another, ``sizes[i]`` rows for
+    state ``i``; terms are listed state by state, in ket order within each.
     """
-    outcome = np.repeat(np.arange(len(sizes)), sizes)
-    order = engine.ket_order(occ)
-    order = order[np.argsort(outcome[order], kind="stable")]
-    occ = occ[order]
-    rows, cols = np.nonzero(occ)
-    base = engine.MAX_OCCUPATION + 1
-    codes = cols * base + occ[rows, cols]
-    fragments = np.empty(len(modes) * base, dtype=object)
-    for c in np.flatnonzero(np.bincount(codes, minlength=len(fragments))).tolist():
-        path, freq_bin = modes[c // base]
-        fragments[c] = _compact([path, freq_bin, c % base])
-    flat = fragments[codes]
-    lengths = np.bincount(rows, minlength=len(occ))
-    starts = np.cumsum(lengths) - lengths
-    texts = [""] * len(occ)
-    for n in np.flatnonzero(np.bincount(lengths)).tolist():
-        chosen = np.flatnonzero(lengths == n)
-        block = flat[starts[chosen][:, None] + np.arange(n)].tolist()
-        for i, text in zip(chosen.tolist(), map(",".join, block)):
-            texts[i] = text
-    return order, tuple(texts)
+    if len(occ) > _FEW_ROWS:
+        order = engine.ket_order(occ)
+        order = order[np.argsort(np.repeat(np.arange(len(sizes)), sizes)[order], kind="stable")]
+        return order, map(",".join, row_pieces(modes, occ[order], _fragment))
+    # kets compare as their (mode, count) pairs, and columns are in mode order
+    pairs = [tuple((c, n) for c, n in enumerate(row) if n) for row in occ.tolist()]
+    outcome = [i for i, size in enumerate(sizes) for _ in range(size)]
+    order = sorted(range(len(pairs)), key=lambda i: (outcome[i], pairs[i]))
+    texts = {p: _fragment(modes[p[0]], p[1]) for p in set(itertools.chain(*pairs))}
+    return order, [",".join(map(texts.__getitem__, pairs[i])) for i in order]
 
 
 def _terms_json(outcomes: list[HeraldOutcome]) -> list[str]:
     """Every term of the outcome states as text, outcome after outcome, in ket order within each.
 
-    The states share their columns, as the outcomes of one herald do.  Each
-    term starts with what precedes it in its state's list: ``[`` for the
-    first term, ``,`` for the others.  Amplitudes are rounded to 12
-    significant digits.
+    The rows of all states are ordered and encoded in one batch, on shared
+    columns (the outcomes of one herald share theirs already).  Each term
+    starts with what precedes it in its state's list: ``[`` for the first
+    term, ``,`` for the others.  Amplitudes are rounded to 12 significant
+    digits.
     """
     states = [o.rows for o in outcomes if o.rows is not None]
     if not states:
         return []
-    sizes = tuple(len(s.amp) for s in states)
-    order, mode_texts = _term_plan(np.concatenate([s.occ for s in states]), states[0].modes,
-                                   sizes)
+    modes = states[0].modes
+    if any(s.modes != modes for s in states):  # outcomes built one by one
+        modes = tuple(sorted(set().union(*(s.modes for s in states))))
+        states = [as_arrays(as_state(s), modes) for s in states]
+    sizes = [len(s.amp) for s in states]
+    order, mode_texts = _term_plan(np.concatenate([s.occ for s in states]), modes, sizes)
     amp = np.concatenate([s.amp for s in states])[order]
     leads = [","] * len(amp)
     first = 0

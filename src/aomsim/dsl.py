@@ -551,7 +551,7 @@ class Pipeline:
                 HeraldOutcome(
                     label="all",
                     probability=engine.norm(state.amp) ** 2,
-                    rows=state,
+                    conditional_state=state,
                     accepted=True,
                 )
             ]

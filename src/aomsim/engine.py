@@ -53,7 +53,6 @@ __all__ = [
     "ket_order",
     "norm",
     "unit",
-    "unit_parts",
     "normalize",
     "source",
     "tensor",
@@ -174,25 +173,6 @@ def unit(amp: np.ndarray, n: float | None = None) -> np.ndarray:
     if n < _SMALLEST_NORMAL:  # 1 / n would overflow
         return _cdiv(amp, n)
     return _cmul(amp, complex(1.0 / n))
-
-
-def unit_parts(amp: np.ndarray, parts: list) -> tuple[list[float], np.ndarray]:
-    """Norm of each part of ``amp``, and every row over its part's norm.
-
-    A part is a slice or an index array of rows; parts are disjoint.  Each
-    part is scaled as :func:`unit` scales a vector, all in one pass; rows
-    of a part with norm 0 (an empty part) keep their amplitudes.
-    """
-    norms = [norm(amp[rows]) for rows in parts]
-    inverse = np.ones(len(amp))
-    for rows, n in zip(parts, norms):
-        if n >= _SMALLEST_NORMAL:
-            inverse[rows] = 1.0 / n
-    out = _cmul(amp, inverse)
-    for rows, n in zip(parts, norms):
-        if 0.0 < n < _SMALLEST_NORMAL:
-            out[rows] = unit(amp[rows], n)
-    return norms, out
 
 
 def normalize(state: ArrayState) -> ArrayState:

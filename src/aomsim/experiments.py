@@ -20,8 +20,7 @@ and GHZ fidelities are reported per herald.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .states import (
     as_state,
     entanglement_entropy,
     kets,
-    state_of,
     normalize,
     reduced_density,
     ghz_fidelity,
@@ -116,25 +114,48 @@ class HeraldRule:
         return tuple(sorted(out))
 
 
-@dataclass
+@dataclass(init=False)
 class HeraldOutcome:
     """One heralded branch: its probability and post-herald state.
 
-    ``rows`` is the conditional state as the engine holds it, ``None`` for
-    an empty discard bucket; ``conditional_state`` builds its kets on first
-    use.
+    The conditional state may be given as a :class:`StateVector` or as the
+    engine's rows (an :class:`ArrayState`), and is ``None`` for an empty
+    discard bucket.  It is held once, as rows: ``rows`` is that
+    :class:`ArrayState`, and ``conditional_state`` its :class:`StateVector`,
+    built on first read unless it was given.  Both are read-only.
     """
 
     label: str
     probability: float
-    rows: ArrayState | None = field(repr=False)
     accepted: bool
-    pattern: tuple[tuple[str, int], ...] | None = None
-    metrics: dict[str, float] = field(default_factory=dict)
+    pattern: tuple[tuple[str, int], ...] | None
+    metrics: dict[str, float]
 
-    @cached_property
+    def __init__(self, label: str, probability: float,
+                 conditional_state: StateVector | ArrayState | None, accepted: bool,
+                 pattern: tuple[tuple[str, int], ...] | None = None,
+                 metrics: dict[str, float] | None = None):
+        self.label, self.probability = label, probability
+        self.accepted, self.pattern = accepted, pattern
+        self.metrics = {} if metrics is None else metrics
+        self._rows = None if conditional_state is None else as_arrays(conditional_state)
+        self._state = conditional_state if isinstance(conditional_state, StateVector) else None
+
+    @property
+    def rows(self) -> ArrayState | None:
+        return self._rows
+
+    @property
     def conditional_state(self) -> StateVector | None:
-        return None if self.rows is None else as_state(self.rows)
+        if self._state is None and self._rows is not None:
+            self._state = as_state(self._rows)
+        return self._state
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HeraldOutcome):
+            return NotImplemented
+        fields = ("label", "probability", "conditional_state", "accepted", "pattern", "metrics")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
 @dataclass
@@ -203,20 +224,24 @@ def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOut
     """
     state = as_arrays(s)
     order, plan = _herald_plan(state.occ, state.modes, rule)
-    occ = state.occ[order]
-    norms, amps = engine.unit_parts(state.amp[order], [rows for _, _, _, rows, _ in plan])
-    nonzero = np.hypot(amps.real, amps.imag) > 0.0  # a tiny amplitude can underflow to 0
-    every = nonzero.all()
+    occ, amps = state.occ[order], state.amp[order]
     outcomes = []
-    for (label, pattern, accepted, rows, terms), n in zip(plan, norms):
-        outcome = HeraldOutcome(label=label, probability=n ** 2, rows=None,
-                                accepted=accepted, pattern=pattern)
+    for label, pattern, accepted, rows, terms in plan:
+        amp = amps[rows]
+        n = engine.norm(amp)
+        conditional = None
         if pattern is not None or n > 0.0:  # an empty discard bucket has no state
-            keep = slice(None) if every else nonzero[rows]
-            outcome.rows = ArrayState(state.modes, occ[rows][keep], amps[rows][keep],
-                                      state.non_unitary)
-            if terms is not None:
-                outcome.conditional_state = state_of(terms, amps[rows], state.non_unitary)
+            amp, sub = engine.unit(amp, n), occ[rows]
+            if np.count_nonzero(amp) < len(amp):  # a tiny amplitude underflowed to 0
+                keep = engine._nonzero(amp)
+                amp, sub = amp[keep], sub[keep]
+                if terms is not None:
+                    terms = [k for k, kept in zip(terms, keep.tolist()) if kept]
+            conditional = ArrayState(state.modes, sub, amp, state.non_unitary)
+        outcome = HeraldOutcome(label, n ** 2, conditional, accepted, pattern)
+        if terms is not None:  # the kets built in the plan
+            outcome._state = StateVector._nonzero(dict(zip(terms, amp.tolist())),
+                                                  state.non_unitary)
         outcomes.append(outcome)
     return outcomes
 

@@ -49,6 +49,7 @@ __all__ = [
     "as_arrays",
     "as_state",
     "kets",
+    "row_pieces",
     "state_of",
     "match_kind",
     "tensor",
@@ -293,27 +294,39 @@ def as_arrays(s: StateVector | ArrayState, modes: Iterable[ModeLabel] = ()) -> A
     return ArrayState(columns, occ, amp, s.non_unitary)
 
 
-def kets(modes: tuple[ModeLabel, ...], occ: np.ndarray) -> list[FockKet]:
-    """One ket per occupation row, built in one batch; kets share their pairs."""
+def row_pieces(modes: tuple[ModeLabel, ...], occ: np.ndarray, piece) -> list[list]:
+    """Each occupation row as its list of ``piece(mode, n)``, one per occupied column in order.
+
+    ``piece`` is called once per distinct ``(column, count)`` and rows share
+    its results; rows with the same number of occupied columns are gathered
+    in one block.
+    """
     rows, cols = np.nonzero(occ)
     base = engine.MAX_OCCUPATION + 1
     codes = cols * base + occ[rows, cols]
-    pairs = np.empty(len(modes) * base, dtype=object)
-    for c in np.flatnonzero(np.bincount(codes, minlength=len(pairs))).tolist():
-        pairs[c] = (modes[c // base], c % base)
-    flat = pairs[codes]
+    pieces = np.empty(len(modes) * base, dtype=object)
+    for c in np.flatnonzero(np.bincount(codes, minlength=len(pieces))).tolist():
+        pieces[c] = piece(modes[c // base], c % base)
+    flat = pieces[codes]
     lengths = np.bincount(rows, minlength=len(occ))
     starts = np.cumsum(lengths) - lengths
-    new, set_pairs, set_hash = object.__new__, FockKet._pairs.__set__, FockKet._hash.__set__
     out: list = [None] * len(occ)
-    for n in np.flatnonzero(np.bincount(lengths)).tolist():  # rows with n pairs, one block
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():  # rows with n pieces, one block
         chosen = np.flatnonzero(lengths == n)
-        block = flat[starts[chosen][:, None] + np.arange(n)].tolist()
-        for i, ket_pairs in zip(chosen.tolist(), map(tuple, block)):
-            k = new(FockKet)
-            set_pairs(k, ket_pairs)
-            set_hash(k, hash(ket_pairs))
-            out[i] = k
+        for i, row in zip(chosen.tolist(), flat[starts[chosen][:, None] + np.arange(n)].tolist()):
+            out[i] = row
+    return out
+
+
+def kets(modes: tuple[ModeLabel, ...], occ: np.ndarray) -> list[FockKet]:
+    """One ket per occupation row, built in one batch; kets share their pairs."""
+    new, set_pairs, set_hash = object.__new__, FockKet._pairs.__set__, FockKet._hash.__set__
+    out = []
+    for ket_pairs in map(tuple, row_pieces(modes, occ, lambda mode, n: (mode, n))):
+        k = new(FockKet)
+        set_pairs(k, ket_pairs)
+        set_hash(k, hash(ket_pairs))
+        out.append(k)
     return out
 
 

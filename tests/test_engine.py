@@ -199,16 +199,3 @@ def test_norm_and_unit_of_tiny_amplitudes(scale):
     amp = np.array([3 * scale, 4j * scale])
     assert engine.norm(amp) == pytest.approx(5 * scale, rel=1e-3 if scale < 1e-308 else 1e-15)
     assert np.allclose(engine.unit(amp), [0.6, 0.8j], atol=1e-3)
-    norms, units = engine.unit_parts(np.concatenate([amp, [0.6, 0.8]]), [slice(0, 2), slice(2, 4)])
-    assert norms[1] == 1.0 and np.allclose(units, [0.6, 0.8j, 0.6, 0.8], atol=1e-3)
-
-
-def test_unit_parts_scales_each_part_as_unit_does():
-    rng = np.random.default_rng(3)
-    amp = rng.normal(size=9) + 1j * rng.normal(size=9)
-    parts = [slice(0, 4), np.array([4, 6, 8]), np.array([5, 7]), np.array([], dtype=np.intp)]
-    norms, units = engine.unit_parts(amp, parts)
-    assert norms[-1] == 0.0
-    for rows, n in zip(parts[:-1], norms):
-        assert n == engine.norm(amp[rows])
-        assert units[rows].tobytes() == engine.unit(amp[rows], n).tobytes()

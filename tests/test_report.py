@@ -23,9 +23,10 @@ from aomsim import (
     parse,
     post_select,
 )
+from aomsim import cli
 from aomsim.cli import _report, _write_json
 from aomsim.engine import ArrayState
-from aomsim.states import as_arrays
+from aomsim.states import as_arrays, as_state
 from conftest import M, random_circuit
 
 
@@ -58,9 +59,12 @@ def assert_encodes_like_reference(outcomes, tmp_path, bandwidth_valid=None, extr
     success = sum(o.probability for o in outcomes if o.accepted)
     args = ("c.qc", Convention.UNITARY, outcomes, success, {"p": success}, bandwidth_valid,
             extra or {})
-    text = _report(*args)
     want = reference_report(*args)
-    assert text == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    for few_rows in (0, 10 ** 9):  # every report through both row-ordering paths
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_FEW_ROWS", few_rows)
+            text = _report(*args)
+        assert text == json.dumps(want, sort_keys=True, separators=(",", ":"))
     _write_json(text, tmp_path / "pretty.json", pretty=True)
     assert (tmp_path / "pretty.json").read_text() == json.dumps(want, sort_keys=True,
                                                                  indent=2) + "\n"
@@ -110,8 +114,9 @@ def test_state_with_no_terms_is_an_empty_list(tmp_path):
     state, aoms = random_circuit(np.random.default_rng(2))
     rows = as_arrays(evolve(state, aoms))
     empty = ArrayState(rows.modes, rows.occ[:0], rows.amp[:0])
-    outcomes = [HeraldOutcome(label="all", probability=0.0, rows=empty, accepted=True),
-                HeraldOutcome(label="rest", probability=1.0, rows=rows, accepted=False)]
+    outcomes = [HeraldOutcome(label="all", probability=0.0, conditional_state=empty, accepted=True),
+                HeraldOutcome(label="rest", probability=1.0, conditional_state=rows,
+                               accepted=False)]
     want = assert_encodes_like_reference(outcomes, tmp_path)
     assert want["outcomes"][0]["state"] == [] and want["outcomes"][1]["state"]
 
@@ -130,9 +135,28 @@ def test_multi_photon_modes_and_negative_zero_amplitudes(tmp_path):
         FockKet({M("b", 0): 2, M("c", -1): 2}): complex(0.0, 0.64),
     })
     heralded = post_select(state, HeraldRule(((frozenset({"b"}), 1),)))
-    whole = HeraldOutcome(label="all", probability=1.0, rows=as_arrays(state), accepted=True)
+    whole = HeraldOutcome(label="all", probability=1.0, conditional_state=as_arrays(state),
+                          accepted=True)
     for outcomes in (heralded, [whole]):
         text = json.dumps(assert_encodes_like_reference(outcomes, tmp_path))
         assert '"re": -0.0' in text and '"re": 0.0' in text
         assert '[["a", 1, 3], ["b", 0, 1]]' in text
     assert '"im": -0.0' in text
+
+
+def test_outcomes_built_from_state_vectors(tmp_path):
+    """A given StateVector is kept and becomes the outcome's rows; columns may differ."""
+    a = StateVector({FockKet({M("a", 0): 1, M("b", 1): 1}): 0.6, FockKet({M("a", 1): 2}): -0.8j})
+    b = StateVector({FockKet({M("c", -1): 1}): 1.0})
+    outcomes = [HeraldOutcome("a", 0.5, a, True),
+                HeraldOutcome("c=1", 0.5, conditional_state=b, accepted=False,
+                              pattern=(("c", 1),))]
+    assert outcomes[0].conditional_state is a
+    assert outcomes[0].rows.modes == (M("a", 0), M("a", 1), M("b", 1))
+    assert as_state(outcomes[1].rows).terms == b.terms
+    assert outcomes[0] == HeraldOutcome("a", 0.5, a, True) != outcomes[1]
+    for o in outcomes:
+        for name in ("rows", "conditional_state"):
+            with pytest.raises(AttributeError):
+                setattr(o, name, None)
+    assert_encodes_like_reference(outcomes, tmp_path)
