@@ -45,6 +45,7 @@ from .elements import (
 from .oracle import dense_oracle_apply, permanent
 from .experiments import (
     GhzResult,
+    GhzSweep,
     HeraldOutcome,
     HeraldRule,
     SwapResult,
@@ -70,6 +71,7 @@ __all__ = [
     "FilterSpec",
     "FockKet",
     "GhzResult",
+    "GhzSweep",
     "HeraldOutcome",
     "HeraldRule",
     "ModeLabel",

@@ -219,15 +219,17 @@ def apply_element(s: StateVector | ArrayState, op: ElementOp) -> StateVector | A
     return match_kind(s, engine.lift(as_arrays(s, op.modes), op))
 
 
-def make_source(spec: SourceSpec, modes: tuple[ModeLabel, ...] | None = None
-                ) -> StateVector | ArrayState:
+def make_source(spec: SourceSpec, modes: tuple[ModeLabel, ...] | None = None,
+                alpha: float | list[float] | None = None) -> StateVector | ArrayState:
     """Two-term biphoton state of the source; alpha = pi/4 gives 1/sqrt(2) each.
 
     Given a circuit's compiled ``modes`` (see :func:`circuit_modes`), returns
-    the two rows as an :class:`~aomsim.engine.ArrayState` over those columns.
+    the two rows as an :class:`~aomsim.engine.ArrayState` over those columns;
+    ``alpha`` then replaces ``spec.alpha``, and a list of angles gives a
+    batch with one member per angle.
     """
     if modes is not None:
-        return engine.source(spec, modes)
+        return engine.source(spec, modes, alpha)
     return as_state(engine.source(spec, tuple(sorted(spec.arms + spec.alt))))
 
 

@@ -10,6 +10,12 @@ rows of an array state (:mod:`aomsim.engine`), gives each outcome its rows,
 and builds the kets of the shown outcomes in one batch; the discard bucket's
 kets are built only when its state is asked for.
 
+The GHZ scheme is evaluated for a batch of source angles at once: every
+angle shares the occupations and row plans, and only the amplitudes carry
+one row per angle.  :func:`run_ghz` of one angle is that evaluation without
+the batch axis; given a list of angles, it reads each angle's
+probabilities and fidelity straight from the batch (:class:`GhzSweep`).
+
 The swap layout (two AOMs) projects the two untouched outer photons onto a
 maximally frequency-entangled pair whenever exactly one photon exits each
 AOM; the single-AOM layout heralds a three-photon GHZ-class state on exactly
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -58,6 +65,7 @@ __all__ = [
     "HeraldOutcome",
     "SwapResult",
     "GhzResult",
+    "GhzSweep",
     "post_select",
     "enumerate_outcomes",
     "restrict_to_paths",
@@ -75,6 +83,8 @@ _m = ModeLabel
 # photons can be correlated once one AOM output fires
 GHZ_BRANCH_A = FockKet({_m("1", 0): 1, _m("3'", 1): 1, _m("4'", 0): 1})
 GHZ_BRANCH_B = FockKet({_m("1'", 1): 1, _m("2'", 0): 1, _m("4", 1): 1})
+GHZ_BRANCH_PATHS = frozenset(m.path for m in GHZ_BRANCH_A.modes() + GHZ_BRANCH_B.modes())
+GHZ_FILTERS = (FilterSpec("T", pass_bin=0, sigma=1.0), FilterSpec("T'", pass_bin=1, sigma=1.0))
 
 SWAP_PAIR_PATHS = frozenset({"1", "1'", "4", "4'"})
 SWAP_OUTPUT_PATHS = frozenset({"T1", "T1'", "T2", "T2'"})
@@ -214,36 +224,54 @@ def _herald_plan(occ, modes: tuple, rule: HeraldRule):
     return order, outcomes
 
 
+def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
+    """The branches of a herald, each normalized on its own, for a state or a batch.
+
+    One ``(label, pattern, accepted, probability, rows, kets)`` per outcome:
+    ``probability`` is a list with one per member for a batch, ``rows`` the
+    normalized conditional state (None for an empty discard bucket), and
+    ``kets`` its kets as the plan built them (None for the discard bucket).
+    """
+    order, plan = _herald_plan(state.occ, state.modes, rule)
+    occ, amps = state.occ[order], engine.select(state.amp, order)
+    branches = []
+    for label, pattern, accepted, rows, terms in plan:
+        amp = engine.select(amps, rows)
+        n = engine.norm(amp)
+        conditional = None
+        if pattern is not None or amp.shape[-1]:  # an empty discard bucket has no state
+            amp, sub = engine.unit(amp, n), occ[rows]
+            if np.count_nonzero(amp) < amp.size:  # a tiny amplitude underflowed to 0
+                keep = engine.kept_rows(amp)
+                amp, sub = engine.select(amp, keep), sub.compress(keep, axis=0)
+                if terms is not None:
+                    terms = [k for k, kept in zip(terms, keep.tolist()) if kept]
+            conditional = ArrayState(state.modes, sub, amp, state.non_unitary)
+        branches.append((label, pattern, accepted, engine.squared(n), conditional, terms))
+    return branches
+
+
+def _outcome(label, pattern, accepted, probability, rows, kets) -> HeraldOutcome:
+    """A branch of a single state (see :func:`_herald`) as a :class:`HeraldOutcome`."""
+    outcome = HeraldOutcome(label, probability, rows, accepted, pattern)
+    if kets is not None:
+        outcome._state = StateVector._nonzero(dict(zip(kets, rows.amp.tolist())),
+                                              rows.non_unitary)
+    return outcome
+
+
 def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOutcome]:
     """Split a normalized state by photon-count pattern over the rule paths.
 
     Returns one outcome per satisfying pattern (sorted by pattern) followed
     by the rejected remainder; probabilities over the full list sum to 1.
     Each outcome's terms are in ket order, and the discard bucket holds the
-    rejected patterns in pattern order.
+    rejected patterns in pattern order.  Takes one state, not a batch.
     """
     state = as_arrays(s)
-    order, plan = _herald_plan(state.occ, state.modes, rule)
-    occ, amps = state.occ[order], state.amp[order]
-    outcomes = []
-    for label, pattern, accepted, rows, terms in plan:
-        amp = amps[rows]
-        n = engine.norm(amp)
-        conditional = None
-        if pattern is not None or n > 0.0:  # an empty discard bucket has no state
-            amp, sub = engine.unit(amp, n), occ[rows]
-            if np.count_nonzero(amp) < len(amp):  # a tiny amplitude underflowed to 0
-                keep = engine._nonzero(amp)
-                amp, sub = amp[keep], sub[keep]
-                if terms is not None:
-                    terms = [k for k, kept in zip(terms, keep.tolist()) if kept]
-            conditional = ArrayState(state.modes, sub, amp, state.non_unitary)
-        outcome = HeraldOutcome(label, n ** 2, conditional, accepted, pattern)
-        if terms is not None:  # the kets built in the plan
-            outcome._state = StateVector._nonzero(dict(zip(terms, amp.tolist())),
-                                                  state.non_unitary)
-        outcomes.append(outcome)
-    return outcomes
+    if state.amp.ndim > 1:
+        raise ValueError("post_select takes one state, not a batch")
+    return [_outcome(*branch) for branch in _herald(state, rule)]
 
 
 def enumerate_outcomes(s: StateVector, paths: set[str] | frozenset[str]) -> dict[int, float]:
@@ -251,14 +279,30 @@ def enumerate_outcomes(s: StateVector, paths: set[str] | frozenset[str]) -> dict
     return engine.count_distribution(as_arrays(s), sorted(paths))
 
 
-def restrict_to_paths(s: StateVector, keep: set[str] | frozenset[str]) -> StateVector:
+@engine.memo_small
+def _restriction(occ, modes: tuple, keep: frozenset):
+    """Columns on the paths ``keep`` and their occupations, once the rest is one common factor."""
+    kept = [m[0] in keep for m in modes]
+    rest = occ[:, [not k for k in kept]]
+    if (rest != rest[:1]).any():
+        raise ValueError("state does not factor across the requested path split")
+    return tuple(m for m, k in zip(modes, kept) if k), occ[:, kept]
+
+
+def restrict_to_paths(s: StateVector | ArrayState, keep: set[str] | frozenset[str]
+                      ) -> StateVector | ArrayState:
     """Drop modes outside ``keep`` when they form one common factor ket.
 
     Valid only when every term carries the identical occupation pattern on
     the dropped paths (e.g. a resolved herald); raises ``ValueError``
-    otherwise, because the restriction would not be a pure state.
+    otherwise, because the restriction would not be a pure state.  An
+    :class:`ArrayState` (also a batch) keeps its amplitudes and the columns
+    on ``keep``.
     """
     keep = frozenset(keep)
+    if isinstance(s, ArrayState):
+        modes, occ = _restriction(s.occ, s.modes, keep)
+        return ArrayState(modes, occ, s.amp, s.non_unitary)
     kept_terms: dict[FockKet, complex] = {}
     rests: set[FockKet] = set()
     for k, amp in s.terms.items():
@@ -287,7 +331,7 @@ def _combined_accepted(outcomes: list[HeraldOutcome]) -> StateVector | None:
     return normalize(combined)
 
 
-def swap_sources(alpha: float) -> tuple[SourceSpec, SourceSpec]:
+def swap_sources(alpha: float = math.pi / 4) -> tuple[SourceSpec, SourceSpec]:
     s1 = SourceSpec("S1", arms=(_m("1", 0), _m("2", 1)), alt=(_m("1'", 1), _m("2'", 0)), alpha=alpha)
     s2 = SourceSpec("S2", arms=(_m("3", 0), _m("4", 1)), alt=(_m("3'", 1), _m("4'", 0)), alpha=alpha)
     return s1, s2
@@ -358,7 +402,81 @@ def run_swap(alpha: float = math.pi / 4, convention: Convention = Convention.UNI
     )
 
 
-def run_ghz(alpha: float = math.pi / 4, convention: Convention = Convention.UNITARY) -> GhzResult:
+def _fired(pattern: tuple[tuple[str, int], ...]) -> str:
+    """The detector that fired in an accepted GHZ herald pattern."""
+    return next(p for p, c in pattern if c == 1)
+
+
+@dataclass
+class GhzSweep:
+    """The GHZ scheme at a list of source angles; each array holds one value per angle.
+
+    ``fidelity`` is the least GHZ fidelity of the accepted heralds, 0.0
+    where none is accepted.
+    """
+
+    alpha: list[float]
+    convention: Convention
+    per_detector: dict[str, np.ndarray]
+    success_probability: np.ndarray
+    fidelity: np.ndarray
+
+
+@dataclass
+class _GhzBatch:
+    """The GHZ scheme evolved for one angle or a batch; every list has one entry per angle.
+
+    ``fidelity`` has the GHZ fidelity per fired detector, in herald order.
+    """
+
+    branches: list[tuple]
+    per_detector: dict[str, list[float]]
+    success: list[float]
+    fidelity: dict[str, list[float]]
+
+
+@lru_cache(maxsize=None)
+def _ghz_circuit(convention: Convention):
+    """Sources (their angle is given per evaluation), AOM and mode closure of the GHZ scheme."""
+    s1, s2 = swap_sources()
+    aom = AomSpec("AOM", _m("2", 1), _m("3", 0), output_x="T'", output_y="T",
+                  phase_convention=convention)
+    op = make_aom(aom)
+    return s1, s2, op, circuit_modes((s1, s2), (op,))
+
+
+def _ghz_batch(alpha: float | list[float], convention: Convention) -> _GhzBatch:
+    """Evolve the GHZ scheme for one angle, or for a list of angles as one batch.
+
+    Both sources emit one member per angle, so the herald's probabilities
+    and the accepted states' fidelities come out per angle.  Raises
+    :class:`~aomsim.engine.BatchSplit` where the angles cannot share rows.
+    """
+    s1, s2, op, modes = _ghz_circuit(convention)
+    state = tensor(make_source(s1, modes, alpha), make_source(s2, modes, alpha))
+    state = apply_element(state, op)
+    for spec in GHZ_FILTERS:
+        state, _ = apply_filter(state, spec)
+    branches = _herald(state, ghz_herald_rule())
+
+    members = len(alpha) if isinstance(alpha, list) else 1
+    per_detector = {"T": [0.0] * members, "T'": [0.0] * members}
+    success = [0.0] * members
+    fidelity: dict[str, list[float]] = {}
+    for _, pattern, accepted, probability, rows, _ in branches:
+        if not accepted:
+            continue
+        fired, probability = _fired(pattern), engine.per_member(probability)
+        success = [total + p for total, p in zip(success, probability)]
+        per_detector[fired] = probability
+        three_photon = restrict_to_paths(rows, GHZ_BRANCH_PATHS)
+        fidelity[fired] = engine.per_member(
+            ghz_fidelity(three_photon, GHZ_BRANCH_A, GHZ_BRANCH_B))
+    return _GhzBatch(branches, per_detector, success, fidelity)
+
+
+def run_ghz(alpha: float | list[float] = math.pi / 4,
+            convention: Convention = Convention.UNITARY) -> GhzResult | GhzSweep:
     """Three-photon GHZ scheme: one AOM, two filtered detectors, one click.
 
     Heralding on exactly one photon across {T, T'} excludes both the
@@ -366,48 +484,53 @@ def run_ghz(alpha: float = math.pi / 4, convention: Convention = Convention.UNIT
     undetected photons in an equal-weight two-branch superposition whose
     phase-maximized GHZ fidelity is reported.  Per-detector probability is
     sin^2(alpha) cos^2(alpha); the total is twice that.
-    """
-    s1, s2 = swap_sources(alpha)
-    aom = AomSpec("AOM", _m("2", 1), _m("3", 0), output_x="T'", output_y="T",
-                  phase_convention=convention)
-    op = make_aom(aom)
-    modes = circuit_modes((s1, s2), (op,))
-    state = tensor(make_source(s1, modes), make_source(s2, modes))
-    state = apply_element(state, op)
-    filter_t = FilterSpec("T", pass_bin=0, sigma=1.0)
-    filter_tp = FilterSpec("T'", pass_bin=1, sigma=1.0)
-    state, _ = apply_filter(state, filter_t)
-    state, _ = apply_filter(state, filter_tp)
-    outcomes = post_select(state, ghz_herald_rule())
 
-    branch_paths = {m.path for m in GHZ_BRANCH_A.modes()} | {m.path for m in GHZ_BRANCH_B.modes()}
-    per_detector = {"T": 0.0, "T'": 0.0}
+    Given a list of angles, evaluates them as batches through the same
+    kernels and returns a :class:`GhzSweep`, whose values are bit-identical
+    to those of one-angle runs.
+    """
+    if isinstance(alpha, list):
+        return _ghz_sweep(alpha, convention)
+    batch = _ghz_batch(alpha, convention)
+    outcomes = [_outcome(*branch) for branch in batch.branches]
     heralded_states: dict[str, StateVector] = {}
     metrics: dict[str, float] = {}
-    success = 0.0
     for o in outcomes:
-        if not o.accepted:
-            continue
-        success += o.probability
-        fired = next(p for p, c in o.pattern if c == 1)
-        per_detector[fired] = o.probability
-        three_photon = restrict_to_paths(o.conditional_state, branch_paths)
-        heralded_states[fired] = three_photon
-        fid = ghz_fidelity(three_photon, GHZ_BRANCH_A, GHZ_BRANCH_B)
-        o.metrics["ghz_fidelity"] = fid
-        metrics[f"ghz_fidelity[{fired}]"] = fid
-    metrics["total_probability"] = success
+        if o.accepted:
+            fired = _fired(o.pattern)
+            heralded_states[fired] = restrict_to_paths(o.conditional_state, GHZ_BRANCH_PATHS)
+            o.metrics["ghz_fidelity"] = metrics[f"ghz_fidelity[{fired}]"] = (
+                batch.fidelity[fired][0])
+    metrics["total_probability"] = batch.success[0]
 
     valid = check_bandwidth(BandwidthCheck(
-        sigma_pump=1.0, filter_sigmas=(filter_t.sigma, filter_tp.sigma)
+        sigma_pump=1.0, filter_sigmas=tuple(f.sigma for f in GHZ_FILTERS)
     ))
     return GhzResult(
         alpha=alpha,
         convention=convention,
         outcomes=outcomes,
-        success_probability=success,
-        per_detector=per_detector,
+        success_probability=batch.success[0],
+        per_detector={k: v[0] for k, v in batch.per_detector.items()},
         heralded_states=heralded_states,
         metrics=metrics,
         bandwidth_valid=valid,
     )
+
+
+def _ghz_sweep(alphas: list[float], convention: Convention) -> GhzSweep:
+    """The GHZ scheme at every angle, evolved as batches (:func:`aomsim.engine.in_batches`).
+
+    The angles go through the kernels all at once where they share their
+    rows and fit the engine's term budget, else in the groups and chunks
+    that the kernels split them into.
+    """
+    def evolve(index: np.ndarray):
+        batch = _ghz_batch([alphas[i] for i in index.tolist()], convention)
+        fidelities = list(batch.fidelity.values()) or [[0.0] * len(index)]
+        least = reduce(lambda a, b: list(map(min, a, b)), fidelities)
+        return zip(batch.per_detector["T"], batch.per_detector["T'"], batch.success, least)
+
+    rows = engine.in_batches(evolve, len(alphas)) if alphas else []
+    per_t, per_t_prime, success, least = np.array(rows, dtype=float).reshape(-1, 4).T
+    return GhzSweep(alphas, convention, {"T": per_t, "T'": per_t_prime}, success, least)

@@ -30,6 +30,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -211,7 +212,8 @@ class StateVector:
         return self.terms.get(k, 0j)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
+        """Euclidean norm, rescaled as :func:`aomsim.engine.norm` rescales tiny states."""
+        return engine.norm(np.array(list(self.terms.values()), dtype=complex))
 
     def paths(self) -> frozenset[str]:
         out: set[str] = set()
@@ -377,6 +379,8 @@ def normalize(s: StateVector) -> StateVector:
     n = s.norm()
     if n == 0.0:
         raise ZeroStateError("cannot normalize a zero state")
+    if n < sys.float_info.min:  # 1 / n would overflow
+        return StateVector({k: a / n for k, a in s.terms.items()}, non_unitary=s.non_unitary)
     return s.scaled(1.0 / n)
 
 
@@ -422,14 +426,39 @@ def entanglement_entropy(s: StateVector, partition: set[str] | frozenset[str]) -
     return ent
 
 
-def ghz_fidelity(s: StateVector, branch_a: FockKet, branch_b: FockKet) -> float:
+@engine.memo_small
+def _row_of(occ, modes: tuple, k: FockKet) -> int | None:
+    """The row of ket ``k`` in an occupation matrix over ``modes``, or None."""
+    counts = dict(k.pairs)
+    row = [counts.pop(m, 0) for m in modes]
+    rows = occ.tolist()
+    if counts or row not in rows:  # a mode of k is not a column, or no row matches
+        return None
+    return rows.index(row)
+
+
+def _amplitudes_of(s: ArrayState, k: FockKet) -> np.ndarray:
+    """The amplitude of ket ``k`` in the array state, per member of a batch (0 if absent)."""
+    row = _row_of(s.occ, s.modes, k)
+    if row is None:
+        return np.zeros(s.amp.shape[:-1], dtype=complex)
+    return s.amp[..., row]
+
+
+def ghz_fidelity(s: StateVector | ArrayState, branch_a: FockKet, branch_b: FockKet
+                 ) -> float | list[float]:
     """Best overlap with the family (|a> + e^{i phi}|b>)/sqrt(2) over phi.
 
     Phase-insensitive by construction; the maximum over phi has the closed
-    form (|<a|s>| + |<b|s>|)^2 / 2, which this returns.
+    form (|<a|s>| + |<b|s>|)^2 / 2, which this returns.  A batch of array
+    states gets a list with each member's fidelity.
     """
     if branch_a == branch_b:
         raise ValueError("branch kets must differ")
-    ca = abs(s.amplitude(branch_a))
-    cb = abs(s.amplitude(branch_b))
-    return (ca + cb) ** 2 / 2.0
+    if isinstance(s, ArrayState):
+        ca, cb = (_amplitudes_of(s, k).tolist() for k in (branch_a, branch_b))
+        if isinstance(ca, list):
+            return [(abs(a) + abs(b)) ** 2 / 2.0 for a, b in zip(ca, cb)]
+    else:
+        ca, cb = s.amplitude(branch_a), s.amplitude(branch_b)
+    return (abs(ca) + abs(cb)) ** 2 / 2.0

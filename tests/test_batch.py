@@ -1,0 +1,185 @@
+"""Batches: many states over one occupation matrix, evolved bit for bit as their members."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aomsim import (
+    CapExceededError,
+    Convention,
+    HeraldRule,
+    SourceSpec,
+    engine,
+    make_aom,
+    run_ghz,
+)
+from aomsim.cli import main
+from aomsim.elements import circuit_modes
+from aomsim.engine import ArrayState
+from aomsim.experiments import _herald
+from aomsim.states import as_arrays
+from conftest import M, random_circuit
+
+CONVENTIONS = (Convention.UNITARY, Convention.PAPER_LITERAL)
+
+# a zero source row, underflowing products and herald norms, cos(alpha) at its smallest
+SPECIAL_ANGLES = [0.0, -0.0, 5e-324, 1e-310, 1e-200, 1e-160, math.pi / 2,
+                  math.nextafter(math.pi / 2, 0.0), math.nextafter(math.pi / 2, 4.0), math.pi]
+
+
+def bits(x: np.ndarray) -> list:
+    return np.ascontiguousarray(x).view(np.int64).tolist()
+
+
+@given(lo=st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-3.2, 3.2)),
+       span=st.floats(1e-9, 3.2), steps=st.integers(2, 40),
+       extra=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(SPECIAL_ANGLES)),
+                      max_size=3),
+       convention=st.sampled_from(CONVENTIONS))
+@settings(max_examples=60, deadline=None)
+def test_batched_sweep_matches_one_angle_runs_in_every_bit(lo, span, steps, extra, convention):
+    alphas = [lo + i * span / (steps - 1) for i in range(steps)]
+    for at, alpha in extra:
+        alphas.insert(at, alpha)
+    sweep = run_ghz(alphas, convention)
+    columns = (sweep.per_detector["T"], sweep.per_detector["T'"], sweep.success_probability,
+               sweep.fidelity)
+    assert sweep.alpha == alphas and all(len(c) == len(alphas) for c in columns)
+    for alpha, *row in zip(alphas, *(c.tolist() for c in columns)):
+        one = run_ghz(alpha, convention)
+        fidelity = min((o.metrics["ghz_fidelity"] for o in one.outcomes if o.accepted),
+                       default=0.0)
+        want = (one.per_detector["T"], one.per_detector["T'"], one.success_probability, fidelity)
+        assert list(map(repr, row)) == list(map(repr, want)), alpha
+
+
+def record_lift_inputs(monkeypatch) -> list:
+    """Shapes of the amplitudes of each lift that returns, from now on."""
+    shapes = []
+    lift = engine.lift
+
+    def recorded(state, op):
+        out = lift(state, op)
+        shapes.append(state.amp.shape)
+        return out
+
+    monkeypatch.setattr(engine, "lift", recorded)
+    return shapes
+
+
+def test_angles_that_share_their_rows_are_one_batch(monkeypatch):
+    shapes = record_lift_inputs(monkeypatch)
+    run_ghz([0.1 + 0.05 * i for i in range(30)], Convention.PAPER_LITERAL)
+    assert shapes == [(30, 4)]
+
+
+@pytest.mark.parametrize("alpha_from,first_row", [
+    ("0.0", "0,0,0,0"),  # sin(0) = 0 drops a source row: no herald is accepted
+    ("1e-200", "1e-200,0,0,1"),  # the probability underflows, the heralded state does not
+])
+def test_angles_that_drop_rows_are_split_off(alpha_from, first_row, tmp_path, monkeypatch,
+                                             capsys):
+    shapes = record_lift_inputs(monkeypatch)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "ghz", f"--alpha-from={alpha_from}", "--alpha-to=1",
+                 "--steps", "5", "--convention", "paper", "--csv", str(out)]) == 0
+    capsys.readouterr()
+    rows = out.read_text().splitlines()
+    assert rows[1] == first_row
+    assert all(row.endswith(",1") for row in rows[2:])
+    assert [shape[0] for shape in shapes] == [1, 4]  # the first angle alone, then the rest
+
+
+def test_sweep_is_chunked_to_the_term_budget(monkeypatch, tmp_path, capsys):
+    argv = ["sweep", "ghz", "--steps", "33", "--convention", "paper", "--csv"]
+    assert main(argv + [str(tmp_path / "full.csv")]) == 0
+    shapes = record_lift_inputs(monkeypatch)
+    monkeypatch.setattr(engine, "TERM_BUDGET", 24)  # 3 angles of the lift's 8 image terms
+    assert main(argv + [str(tmp_path / "chunked.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    # alpha = 0 alone, then 32 angles in chunks of at most 3
+    assert len(shapes) == 12 and max(members for members, _ in shapes) == 3
+
+
+def test_one_angle_over_the_term_budget_still_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "TERM_BUDGET", 3)
+    assert main(["sweep", "ghz", "--steps", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
+
+
+def source_spec():
+    return SourceSpec("S", arms=(M("a", 0), M("b", 1)), alt=(M("c", 1), M("d", 0)))
+
+
+def test_source_splits_members_whose_zero_rows_differ():
+    spec = source_spec()
+    modes = tuple(sorted(spec.arms + spec.alt))
+    alphas = [0.3, 0.0, 0.5, 0.0]
+    with pytest.raises(engine.BatchSplit) as split:
+        engine.source(spec, modes, alphas)
+    # groups in mask order: [kept, dropped] sorts before [kept, kept]
+    assert [g.tolist() for g in split.value.groups] == [[1, 3], [0, 2]]
+
+    def rows(index):
+        state = engine.source(spec, modes, [alphas[i] for i in index])
+        return [(len(state.occ), bits(a)) for a in state.amp]
+
+    got = engine.in_batches(rows, len(alphas))
+    want = [(len(s.occ), bits(s.amp)) for s in (engine.source(spec, modes, a) for a in alphas)]
+    assert got == want
+
+
+def test_batch_over_the_budget_is_chunked_and_a_single_state_raises(monkeypatch):
+    spec = source_spec()
+    modes = tuple(sorted(spec.arms + spec.alt))
+    monkeypatch.setattr(engine, "TERM_BUDGET", 5)
+    with pytest.raises(engine.BatchSplit) as split:
+        engine.source(spec, modes, [0.1] * 7)
+    assert [g.tolist() for g in split.value.groups] == [[0, 1], [2, 3], [4, 5], [6]]
+    monkeypatch.setattr(engine, "TERM_BUDGET", 1)
+    with pytest.raises(CapExceededError, match="budget"):
+        engine.source(spec, modes, 0.1)
+
+
+SCALES = np.array([1.0, 0.5j, 0.3 - 0.2j, -1e-3, 2.0 + 1.0j, 1e-160])
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_batch_kernels_match_each_member_bit_for_bit(convention):
+    rng = np.random.default_rng(17)
+    rule = HeraldRule([({"x", "y"}, 1)], discard_complement=bool(rng.integers(2)))
+    for _ in range(40):
+        state, aoms = random_circuit(rng, convention)
+        ops = [make_aom(spec) for spec in aoms]
+        start = as_arrays(state, circuit_modes((), ops))
+        amp = start.amp * SCALES[:, None]
+        high = max(m[1] for m in start.modes if m[0] == "x")
+
+        def evolve(single: ArrayState):
+            for op in ops:
+                single = engine.lift(single, op)
+            single, survived = engine.filter_rows(single, "x", high)
+            branches = [(label, p, rows) for label, _, _, p, rows, _ in _herald(single, rule)]
+            return single, survived, branches
+
+        def members(index):
+            batch, survived, branches = evolve(ArrayState(start.modes, start.occ, amp[index]))
+            return [(batch.occ.tolist(), bits(batch.amp[i]), survived[i],
+                     [(label, p[i], None if r is None else (r.occ.tolist(), bits(r.amp[i])))
+                      for label, p, r in branches])
+                    for i in range(len(index))]
+
+        def alone(i):
+            single, survived, branches = evolve(ArrayState(start.modes, start.occ, amp[i]))
+            return (single.occ.tolist(), bits(single.amp), survived,
+                    [(label, p, None if r is None else (r.occ.tolist(), bits(r.amp)))
+                     for label, p, r in branches])
+
+        got = engine.in_batches(members, len(SCALES))
+        for i, member in enumerate(got):
+            assert repr(member) == repr(alone(i))

@@ -1,9 +1,11 @@
 """Byte-identical outputs against stored golden files, and the swap chain's exact answers.
 
 The files under ``tests/golden/`` were written by the CLI before the sparse
-engine was optimized, and the two ``*_pretty.json`` files (``--pretty``
-output) before the run reports were encoded in one batch; every report, demo
-and sweep must still reproduce them byte for byte.  The k=5 swap chain's report (745 KB) is pinned by its
+engine was optimized, the two ``*_pretty.json`` files (``--pretty``
+output) before the run reports were encoded in one batch, and
+``sweep_ghz_unitary_257.csv`` and ``sweep_ghz_paper_tiny.csv`` (a range
+from ``alpha = 1e-200``) before a sweep's angles were evolved as one batch;
+every report, demo and sweep must still reproduce them byte for byte.  The k=5 swap chain's report (745 KB) is pinned by its
 SHA-256 instead, recorded before the array engine replaced the sparse one;
 ``chain5.qc`` is ``bench/workloads.chain_circuit(5, op_rng(0, 0))``.  Paths
 are passed relative to the repository root, because a run report records
@@ -27,6 +29,10 @@ CASES = [
     (["run", "circuits/ghz.qc", "--json"], "run_ghz.json"),
     (["run", str(GOLDEN / "chain3.qc"), "--json"], "chain3.json"),
     (["sweep", "ghz", "--steps", "17", "--convention", "paper", "--csv"], "sweep_ghz.csv"),
+    (["sweep", "ghz", "--steps", "257", "--convention", "unitary", "--csv"],
+     "sweep_ghz_unitary_257.csv"),
+    (["sweep", "ghz", "--alpha-from=1e-200", "--alpha-to=0.5", "--steps", "9",
+      "--convention", "paper", "--csv"], "sweep_ghz_paper_tiny.csv"),
     (["run", str(GOLDEN / "chain3.qc"), "--pretty", "--json"], "chain3_pretty.json"),
     (["demo", "ghz", "--pretty", "--json"], "demo_ghz_unitary_pi4_pretty.json"),
 ] + [

@@ -221,6 +221,18 @@ def test_normalize_zero_state_raises():
         normalize(StateVector({}))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-320])
+def test_norm_and_normalize_of_a_tiny_nonzero_state(scale):
+    """Squares that underflow neither zero the norm nor fail the normalization."""
+    k = FockKet({M("a", 0): 1})
+    s = StateVector({k: scale})
+    assert s.norm() == scale
+    assert normalize(s).terms == {k: 1.0}
+    pair = StateVector({k: 3 * scale, FockKet({M("b", 0): 1}): 4j * scale})
+    assert pair.norm() == pytest.approx(5 * scale, rel=1e-3 if scale < 1e-308 else 1e-15)
+    assert abs(normalize(pair).amplitude(k)) == pytest.approx(0.6, rel=1e-3)
+
+
 # ---------------------------------------------------------------- reductions
 
 
