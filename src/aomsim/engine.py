@@ -142,9 +142,9 @@ class _TermCount:
 class BatchSplit(Exception):
     """A batch that cannot go on as one: ``groups`` lists the members of each part.
 
-    Raised by a kernel before it computes anything, and handled by
-    :func:`in_batches`, which evolves each group as a batch of its own; only
-    a batch raises it, never a single state.
+    Raised by a kernel in place of its result (for the budget, before it
+    allocates), and handled by :func:`in_batches`, which evolves each group
+    as a batch of its own; only a batch raises it, never a single state.
     """
 
     def __init__(self, groups: list[np.ndarray]):
