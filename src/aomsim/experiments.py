@@ -331,7 +331,7 @@ def _combined_accepted(outcomes: list[HeraldOutcome]) -> StateVector | None:
     return normalize(combined)
 
 
-def swap_sources(alpha: float = math.pi / 4) -> tuple[SourceSpec, SourceSpec]:
+def swap_sources(alpha: float) -> tuple[SourceSpec, SourceSpec]:
     s1 = SourceSpec("S1", arms=(_m("1", 0), _m("2", 1)), alt=(_m("1'", 1), _m("2'", 0)), alpha=alpha)
     s2 = SourceSpec("S2", arms=(_m("3", 0), _m("4", 1)), alt=(_m("3'", 1), _m("4'", 0)), alpha=alpha)
     return s1, s2
@@ -437,8 +437,8 @@ class _GhzBatch:
 
 @lru_cache(maxsize=None)
 def _ghz_circuit(convention: Convention):
-    """Sources (their angle is given per evaluation), AOM and mode closure of the GHZ scheme."""
-    s1, s2 = swap_sources()
+    """Sources, AOM and mode closure of the GHZ scheme; each evaluation gives its own angles."""
+    s1, s2 = swap_sources(math.pi / 4)
     aom = AomSpec("AOM", _m("2", 1), _m("3", 0), output_x="T'", output_y="T",
                   phase_convention=convention)
     op = make_aom(aom)
