@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import sys
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .dsl import Pipeline, PipelineResult, compile_circuit, parse
 from .elements import Convention
 from .errors import CompileError, SimulatorError
 from .experiments import GhzResult, HeraldOutcome, SwapResult, run_ghz, run_swap
-from .states import as_arrays, as_state, row_pieces
+from .states import row_pieces, shared_columns
 
 SCHEMA_VERSION = 1
 
@@ -110,13 +111,10 @@ def _terms_json(outcomes: list[HeraldOutcome]) -> list[str]:
     term, ``,`` for the others.  Amplitudes are rounded to 12 significant
     digits.
     """
-    states = [o.rows for o in outcomes if o.rows is not None]
+    states = shared_columns([o.rows for o in outcomes if o.rows is not None])
     if not states:
         return []
     modes = states[0].modes
-    if any(s.modes != modes for s in states):  # outcomes built one by one
-        modes = tuple(sorted(set().union(*(s.modes for s in states))))
-        states = [as_arrays(as_state(s), modes) for s in states]
     sizes = [len(s.amp) for s in states]
     order, mode_texts = _term_plan(np.concatenate([s.occ for s in states]), modes, sizes)
     amp = np.concatenate([s.amp for s in states])[order]
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--convention", choices=[c.value for c in Convention],
                        help="override the phase convention of every AOM")
     p_run.add_argument("--pretty", action="store_true", help="indent JSON output")
-    p_run.set_defaults(func=cmd_run)
 
     p_demo = sub.add_parser("demo", help="run a built-in experiment")
     p_demo.add_argument("name", choices=["swap", "ghz"])
@@ -364,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=Convention.UNITARY.value)
     p_demo.add_argument("--json", metavar="PATH", help="write a JSON run report")
     p_demo.add_argument("--pretty", action="store_true", help="indent JSON output")
-    p_demo.set_defaults(func=cmd_demo)
 
     p_sweep = sub.add_parser("sweep", help="sweep the GHZ mixing angle, emit CSV")
     p_sweep.add_argument("name", choices=["ghz"])
@@ -374,14 +370,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--convention", choices=[c.value for c in Convention],
                          default=Convention.UNITARY.value)
     p_sweep.add_argument("--csv", metavar="PATH", help="write the table to a file")
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+_parser = lru_cache(maxsize=None)(build_parser)  # built once: parsing leaves no state in it
+
+_FLOAT_OPTIONS = ("--alpha", "--alpha-from", "--alpha-to")
+
+
+def _is_float(text: str) -> bool:
     try:
-        return args.func(args)
+        return float(text) is not None
+    except ValueError:
+        return False
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """``--alpha -1e-3`` as ``--alpha=-1e-3``: argparse reads ``-1e-3`` as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and _is_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
+    try:
+        # looked up by name on each call, so a replaced cmd_* takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except SimulatorError as exc:  # parse and compile errors are handled in cmd_run
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

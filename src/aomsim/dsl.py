@@ -278,6 +278,14 @@ class _Parser:
             self.fail(line, tok, "list is empty")
         return items
 
+    def two_items(self, line: int, args: dict[str, _Token], key: str, head: _Token,
+                  what: str) -> list[_Token]:
+        tok = self.need(line, args, key, head)
+        items = self.list_items(line, tok)
+        if len(items) != 2:
+            self.fail(line, tok, f"expected two {what}")
+        return items
+
     def mode_item(self, line: int, tok: _Token) -> ModeLabel:
         m = _MODE_RE.match(tok.text)
         if m is None:
@@ -312,14 +320,8 @@ class _Parser:
         head = tokens[0]
         name = self.name_token(line, tokens, head)
         args = self.kv_args(line, tokens[2:], {"arms", "alt", "alpha"})
-        arms_tok = self.need(line, args, "arms", head)
-        arm_items = self.list_items(line, arms_tok)
-        if len(arm_items) != 2:
-            self.fail(line, arms_tok, "expected two arm modes")
-        alt_tok = self.need(line, args, "alt", head)
-        alt_items = self.list_items(line, alt_tok)
-        if len(alt_items) != 2:
-            self.fail(line, alt_tok, "expected two alt modes")
+        arm_items = self.two_items(line, args, "arms", head, "arm modes")
+        alt_items = self.two_items(line, args, "alt", head, "alt modes")
         arms = tuple(self.mode_item(line, t) for t in arm_items)
         alt = tuple(self.mode_item(line, t) for t in alt_items)
         alpha = self.float_value(line, args["alpha"]) if "alpha" in args else math.pi / 4
@@ -331,14 +333,8 @@ class _Parser:
         head = tokens[0]
         name = self.name_token(line, tokens, head)
         args = self.kv_args(line, tokens[2:], {"in", "out", "shift", "t", "convention"})
-        in_tok = self.need(line, args, "in", head)
-        in_items = self.list_items(line, in_tok)
-        if len(in_items) != 2:
-            self.fail(line, in_tok, "expected two inputs")
-        out_tok = self.need(line, args, "out", head)
-        out_items = self.list_items(line, out_tok)
-        if len(out_items) != 2:
-            self.fail(line, out_tok, "expected two outputs")
+        in_items = self.two_items(line, args, "in", head, "inputs")
+        out_items = self.two_items(line, args, "out", head, "outputs")
         inputs = tuple(self.mode_item(line, t) for t in in_items)
         outputs = tuple(self.path_item(line, t) for t in out_items)
         for tok, mode in zip(in_items, inputs):
@@ -416,13 +412,7 @@ class _Parser:
         if kind.text not in allowed:
             self.fail(line, kind, f"unknown report kind '{kind.text}'")
         args = self.kv_args(line, tokens[2:], allowed[kind.text])
-        if kind.text == "entropy":
-            items = self.list_items(line, self.need(line, args, "split", head))
-            paths = tuple(self.path_item(line, t) for t in items)
-            for tok, p in zip(items, paths):
-                self.require_declared(line, tok, p)
-            self.statements.append(ReportEntropyStmt(paths, line=line))
-        elif kind.text == "ghz":
+        if kind.text == "ghz":
             a_items = self.list_items(line, self.need(line, args, "a", head))
             b_items = self.list_items(line, self.need(line, args, "b", head))
             branch_a = tuple(self.mode_item(line, t) for t in a_items)
@@ -430,12 +420,14 @@ class _Parser:
             for tok, mode in zip(a_items + b_items, branch_a + branch_b):
                 self.require_declared(line, tok, mode.path)
             self.statements.append(ReportGhzStmt(branch_a, branch_b, line=line))
-        elif kind.text == "outcomes":
-            items = self.list_items(line, self.need(line, args, "paths", head))
+        else:  # entropy split=(...) or outcomes paths=(...)
+            (key,) = allowed[kind.text]
+            items = self.list_items(line, self.need(line, args, key, head))
             paths = tuple(self.path_item(line, t) for t in items)
             for tok, p in zip(items, paths):
                 self.require_declared(line, tok, p)
-            self.statements.append(ReportOutcomesStmt(paths, line=line))
+            stmt = ReportEntropyStmt if kind.text == "entropy" else ReportOutcomesStmt
+            self.statements.append(stmt(paths, line=line))
 
 
 def parse(text: str) -> CircuitAst | list[ParseError]:
@@ -555,28 +547,24 @@ class Pipeline:
                     accepted=True,
                 )
             ]
+        # metrics are computed on the outcomes' rows, all outcomes at once
+        accepted = [o for o in outcomes if o.accepted and o.rows is not None]
         count_distributions: dict[str, dict[int, float]] = {}
         for report in self.reports:
             if isinstance(report, ReportOutcomesStmt):
                 key = ",".join(report.paths)
                 count_distributions[key] = engine.count_distribution(state, report.paths)
-                continue
-            for outcome in outcomes:
-                if not outcome.accepted or outcome.conditional_state is None:
-                    continue
-                if isinstance(report, ReportEntropyStmt):
-                    key = f"entropy[{','.join(report.split)}]"
-                    outcome.metrics[key] = entanglement_entropy(
-                        outcome.conditional_state, set(report.split)
-                    )
-                elif isinstance(report, ReportGhzStmt):
-                    branch_paths = {m.path for m in report.branch_a + report.branch_b}
-                    restricted = restrict_to_paths(outcome.conditional_state, branch_paths)
+            elif isinstance(report, ReportEntropyStmt):
+                key = f"entropy[{','.join(report.split)}]"
+                entropies = entanglement_entropy([o.rows for o in accepted], set(report.split))
+                for outcome, entropy in zip(accepted, entropies):
+                    outcome.metrics[key] = entropy
+            elif isinstance(report, ReportGhzStmt):
+                branch_paths = {m.path for m in report.branch_a + report.branch_b}
+                a, b = FockKet.from_modes(report.branch_a), FockKet.from_modes(report.branch_b)
+                for outcome in accepted:
                     outcome.metrics["ghz_fidelity"] = ghz_fidelity(
-                        restricted,
-                        FockKet.from_modes(report.branch_a),
-                        FockKet.from_modes(report.branch_b),
-                    )
+                        restrict_to_paths(outcome.rows, branch_paths), a, b)
         success = sum(o.probability for o in outcomes if o.accepted)
         return PipelineResult(
             outcomes=outcomes,
@@ -615,72 +603,48 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
             raise CompileError(f"undeclared path '{path}'", line)
 
     for stmt in ast.statements:
-        if isinstance(stmt, SourceStmt):
-            for mode in stmt.arms + stmt.alt:
-                declare(mode.path, stmt.line)
-            try:
+        try:  # an invalid spec or herald rule is an error on the statement's line
+            if isinstance(stmt, SourceStmt):
+                for mode in stmt.arms + stmt.alt:
+                    declare(mode.path, stmt.line)
                 sources.append(SourceSpec(stmt.name, stmt.arms, stmt.alt, stmt.alpha))
-            except SpecInvariantError as exc:
-                raise CompileError(str(exc), stmt.line) from exc
-        elif isinstance(stmt, AomStmt):
-            for mode in stmt.inputs:
-                known(mode.path, stmt.line)
-            for path in stmt.outputs:
-                declare(path, stmt.line)
-            try:
-                elements.append(
-                    AomSpec(
-                        stmt.name,
-                        stmt.inputs[0],
-                        stmt.inputs[1],
-                        output_x=stmt.outputs[0],
-                        output_y=stmt.outputs[1],
-                        shift=stmt.shift,
-                        t_amp=stmt.t_amp,
-                        phase_convention=stmt.convention,
-                    )
-                )
-            except SpecInvariantError as exc:
-                raise CompileError(str(exc), stmt.line) from exc
-        elif isinstance(stmt, FilterStmt):
-            known(stmt.path, stmt.line)
-            try:
+            elif isinstance(stmt, AomStmt):
+                for mode in stmt.inputs:
+                    known(mode.path, stmt.line)
+                for path in stmt.outputs:
+                    declare(path, stmt.line)
+                elements.append(AomSpec(
+                    stmt.name, stmt.inputs[0], stmt.inputs[1], output_x=stmt.outputs[0],
+                    output_y=stmt.outputs[1], shift=stmt.shift, t_amp=stmt.t_amp,
+                    phase_convention=stmt.convention))
+            elif isinstance(stmt, FilterStmt):
+                known(stmt.path, stmt.line)
                 elements.append(FilterSpec(stmt.path, stmt.pass_bin, stmt.sigma))
-            except SpecInvariantError as exc:
-                raise CompileError(str(exc), stmt.line) from exc
-        elif isinstance(stmt, HeraldStmt):
-            if herald is not None:
-                raise CompileError("multiple herald statements", stmt.line)
-            for paths, _ in stmt.clauses:
+            elif isinstance(stmt, HeraldStmt):
+                if herald is not None:
+                    raise CompileError("multiple herald statements", stmt.line)
+                for paths, _ in stmt.clauses:
+                    for p in paths:
+                        known(p, stmt.line)
+                herald = HeraldRule(
+                    tuple((frozenset(paths), count) for paths, count in stmt.clauses))
+            elif isinstance(stmt, CheckStmt):
+                BandwidthCheck(stmt.pump)
+                pump = stmt.pump
+            elif isinstance(stmt, (ReportEntropyStmt, ReportGhzStmt, ReportOutcomesStmt)):
+                if herald is None:
+                    raise CompileError("report statements must follow the herald", stmt.line)
+                if isinstance(stmt, ReportGhzStmt):
+                    paths = [mode.path for mode in stmt.branch_a + stmt.branch_b]
+                else:
+                    paths = stmt.split if isinstance(stmt, ReportEntropyStmt) else stmt.paths
                 for p in paths:
                     known(p, stmt.line)
-            try:
-                herald = HeraldRule(
-                    tuple((frozenset(paths), count) for paths, count in stmt.clauses)
-                )
-            except ValueError as exc:
-                raise CompileError(str(exc), stmt.line) from exc
-        elif isinstance(stmt, CheckStmt):
-            try:
-                BandwidthCheck(stmt.pump)
-            except SpecInvariantError as exc:
-                raise CompileError(str(exc), stmt.line) from exc
-            pump = stmt.pump
-        elif isinstance(stmt, (ReportEntropyStmt, ReportGhzStmt, ReportOutcomesStmt)):
-            if herald is None:
-                raise CompileError("report statements must follow the herald", stmt.line)
-            if isinstance(stmt, ReportEntropyStmt):
-                for p in stmt.split:
-                    known(p, stmt.line)
-            elif isinstance(stmt, ReportGhzStmt):
-                for mode in stmt.branch_a + stmt.branch_b:
-                    known(mode.path, stmt.line)
+                reports.append(stmt)
             else:
-                for p in stmt.paths:
-                    known(p, stmt.line)
-            reports.append(stmt)
-        else:
-            raise CompileError(f"unsupported statement type {type(stmt).__name__}")
+                raise CompileError(f"unsupported statement type {type(stmt).__name__}")
+        except (SpecInvariantError, ValueError) as exc:
+            raise CompileError(str(exc), stmt.line) from exc
     return Pipeline(
         sources=sources,
         elements=elements,

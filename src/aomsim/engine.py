@@ -124,19 +124,9 @@ class ArrayState:
             object.__setattr__(self, "amp", self.amp.astype(complex))
 
     @property
-    def terms(self) -> _TermCount:
-        """Supports ``len(state.terms)`` only, the number of terms, as for a ``StateVector``."""
-        return _TermCount(self.amp.shape[-1])
-
-
-class _TermCount:
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
+    def terms(self) -> range:
+        """For ``len(state.terms)``, the number of terms, as for a ``StateVector``."""
+        return range(self.amp.shape[-1])
 
 
 class BatchSplit(Exception):
@@ -245,7 +235,7 @@ def kept_rows(amp: np.ndarray) -> np.ndarray:
 
 
 def _norm(values: list[complex]) -> float:
-    total = sum(abs(a) ** 2 for a in values)
+    total = sum([abs(a) ** 2 for a in values])
     if total < _SMALLEST_NORMAL:
         peak = float(np.abs(np.array(values, dtype=complex)).max(initial=0.0))
         if peak > 0.0:
@@ -271,18 +261,19 @@ def squared(n: float | list[float]) -> float | list[float]:
     return [x ** 2 for x in n] if isinstance(n, list) else n ** 2
 
 
-def unit(amp: np.ndarray, n: float | list[float] | None = None) -> np.ndarray:
-    """``amp`` over its norm ``n`` (per member), as ``normalize`` rescales a ``StateVector``.
+def unit(amp: np.ndarray, n: float | list[float] | np.ndarray | None = None) -> np.ndarray:
+    """``amp`` over its norm ``n``, as ``normalize`` rescales a ``StateVector``.
 
-    Raises :class:`ZeroStateError` if a norm is zero.
+    ``n`` is one norm, a list with one per member of a batch, or an array
+    that broadcasts against ``amp`` (one norm per row, say).  Raises
+    :class:`ZeroStateError` if a norm is zero.
     """
     n = norm(amp) if n is None else n
-    norms = per_member(n)
-    if not all(norms):
-        raise ZeroStateError("cannot normalize a zero state")
     if isinstance(n, list):  # one scale per member
         n = np.array(n)[:, None]
-    if min(norms) < _SMALLEST_NORMAL:  # 1 / n would overflow: divide by the tiny norms
+    if not np.all(n):
+        raise ZeroStateError("cannot normalize a zero state")
+    if np.min(n, initial=math.inf) < _SMALLEST_NORMAL:  # 1 / n would overflow: divide by n
         return np.where(n < _SMALLEST_NORMAL, _cdiv(amp, n),
                         _cmul(amp, 1.0 / np.maximum(n, _SMALLEST_NORMAL) + 0j))
     return _cmul(amp, 1.0 / n + 0j)
@@ -380,8 +371,8 @@ def ket_order(occ: np.ndarray) -> np.ndarray:
     left at all, since a tuple that ends first is smaller.
     """
     rows, cols = occ.shape
-    if not rows:
-        return np.zeros(0, dtype=np.intp)
+    if not (rows and cols):  # no rows, or only vacua
+        return np.arange(rows)
     occupied = occ != 0
     # one past each row's last occupied column (0 for the vacuum)
     end = np.where(occupied.any(axis=1), cols - np.argmax(occupied[:, ::-1], axis=1), 0)

@@ -6,9 +6,10 @@ over the AOM output paths.  :func:`post_select` is the shared heralding
 primitive: it partitions a state by the per-path photon-count pattern over
 the paths a rule mentions, accepts the patterns whose per-clause totals match
 exactly, and lumps everything else into one discard bucket.  It groups the
-rows of an array state (:mod:`aomsim.engine`), gives each outcome its rows,
-and builds the kets of the shown outcomes in one batch; the discard bucket's
-kets are built only when its state is asked for.
+rows of an array state (:mod:`aomsim.engine`), lists them outcome by outcome,
+and normalizes every outcome in one pass over those rows; no outcome builds
+its kets until its conditional state is read.  The metrics (entropies,
+fidelities, the swap's combined accepted state) run on the same rows.
 
 The GHZ scheme is evaluated for a batch of source angles at once: every
 angle shares the occupations and row plans, and only the amplitudes carry
@@ -53,10 +54,10 @@ from .states import (
     as_arrays,
     as_state,
     entanglement_entropy,
-    kets,
     normalize,
     reduced_density,
     ghz_fidelity,
+    shared_columns,
     tensor,
 )
 
@@ -118,10 +119,7 @@ class HeraldRule:
         object.__setattr__(self, "discard_complement", bool(discard_complement))
 
     def paths(self) -> tuple[str, ...]:
-        out: set[str] = set()
-        for paths, _ in self.clauses:
-            out |= paths
-        return tuple(sorted(out))
+        return tuple(sorted(set().union(*(paths for paths, _ in self.clauses))))
 
 
 @dataclass(init=False)
@@ -191,73 +189,69 @@ class GhzResult:
     bandwidth_valid: bool
 
 
-def _pattern_label(paths: tuple[str, ...], pattern: tuple[int, ...]) -> str:
-    return ",".join(f"{p}={c}" for p, c in zip(paths, pattern))
+def _pattern_labels(paths: tuple[str, ...], patterns: list[list[int]]) -> list[str]:
+    """``path=count,...`` for each pattern, formatted by one template."""
+    template = ",".join(p.replace("{", "{{").replace("}", "}}") + "={}" for p in paths)
+    return [template.format(*pattern) for pattern in patterns]
 
 
 @engine.memo_small
 def _herald_plan(occ, modes: tuple, rule: HeraldRule):
-    """Row order and outcomes of a herald: ``(order, [(label, pattern, accepted, rows, kets)])``.
+    """Row order and outcomes of a herald: ``(order, sizes, [(label, pattern, accepted)])``.
 
-    ``rows`` index the state's rows taken in ``order``.  The kets of the
-    shown patterns are built here, in one batch; the discard bucket, made
-    of the rejected patterns in pattern order unless the rule keeps them
-    apart, has ``kets`` None and builds its own on demand.
+    ``order`` lists the state's rows outcome by outcome, in ket order within
+    each, and ``sizes`` counts them.  The discard bucket comes last, made of
+    the rejected patterns in pattern order, unless the rule keeps them apart.
     """
     paths = rule.paths()
     order, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
     shown = accepted if rule.discard_complement else np.ones(len(sizes), dtype=bool)
-    terms = kets(modes, occ[order][np.repeat(shown, sizes)])
     groups = np.flatnonzero(accepted).tolist() + np.flatnonzero(~accepted & shown).tolist()
-    starts = (np.cumsum(sizes) - sizes).tolist()
-    shown_starts = (np.cumsum(sizes * shown) - sizes * shown).tolist()
-    outcomes = []
-    for g in groups:
-        pattern = tuple(patterns[g].tolist())
-        size = int(sizes[g])
-        outcomes.append((_pattern_label(paths, pattern), tuple(zip(paths, pattern)),
-                         bool(accepted[g]), slice(starts[g], starts[g] + size),
-                         terms[shown_starts[g]:shown_starts[g] + size]))
+    rank = np.full(len(sizes), len(groups))  # the discard bucket's groups rank last
+    rank[groups] = np.arange(len(groups))
+    order = order[np.argsort(np.repeat(rank, sizes), kind="stable")]
+    shown_patterns = patterns[groups].tolist()
+    outcomes = [(label, tuple(zip(paths, pattern)), is_accepted) for label, pattern, is_accepted
+                in zip(_pattern_labels(paths, shown_patterns), shown_patterns,
+                       accepted[groups].tolist())]
+    counts = sizes[groups].tolist()
     if rule.discard_complement:
-        outcomes.append(("discard", None, False, np.flatnonzero(np.repeat(~accepted, sizes)),
-                         None))
-    return order, outcomes
+        outcomes.append(("discard", None, False))
+        counts.append(int(sizes[~accepted].sum()))
+    return order, counts, outcomes
 
 
 def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
     """The branches of a herald, each normalized on its own, for a state or a batch.
 
-    One ``(label, pattern, accepted, probability, rows, kets)`` per outcome:
-    ``probability`` is a list with one per member for a batch, ``rows`` the
-    normalized conditional state (None for an empty discard bucket), and
-    ``kets`` its kets as the plan built them (None for the discard bucket).
+    One ``(label, probability, rows, accepted, pattern)`` per outcome, the
+    arguments of :class:`HeraldOutcome`: ``probability`` is a list with one
+    per member for a batch, and ``rows`` the normalized conditional state
+    (None for an empty discard bucket).  Each outcome's norm is summed on its
+    own slice of the amplitudes, and every row is rescaled in one product.
     """
-    order, plan = _herald_plan(state.occ, state.modes, rule)
-    occ, amps = state.occ[order], engine.select(state.amp, order)
+    order, sizes, plan = _herald_plan(state.occ, state.modes, rule)
+    occ, amp = state.occ[order], engine.select(state.amp, order)
+    bounds = np.cumsum([0] + sizes).tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    values = amp.tolist()
+    if amp.ndim == 1:
+        norms = [engine._norm(values[a:b]) for a, b in spans]
+    else:
+        norms = [[engine._norm(member[a:b]) for member in values] for a, b in spans]
+    unit = engine.unit(amp, np.repeat(np.array(norms).T, sizes, axis=-1))  # by each row's norm
+    if np.count_nonzero(unit) < unit.size:  # a tiny amplitude underflowed to 0
+        keep = engine.kept_rows(unit)
+        unit, occ = engine.select(unit, keep), occ.compress(keep, axis=0)
+        bounds = np.cumsum([0] + keep.tolist())[bounds].tolist()
     branches = []
-    for label, pattern, accepted, rows, terms in plan:
-        amp = engine.select(amps, rows)
-        n = engine.norm(amp)
-        conditional = None
-        if pattern is not None or amp.shape[-1]:  # an empty discard bucket has no state
-            amp, sub = engine.unit(amp, n), occ[rows]
-            if np.count_nonzero(amp) < amp.size:  # a tiny amplitude underflowed to 0
-                keep = engine.kept_rows(amp)
-                amp, sub = engine.select(amp, keep), sub.compress(keep, axis=0)
-                if terms is not None:
-                    terms = [k for k, kept in zip(terms, keep.tolist()) if kept]
-            conditional = ArrayState(state.modes, sub, amp, state.non_unitary)
-        branches.append((label, pattern, accepted, engine.squared(n), conditional, terms))
+    for (label, pattern, accepted), n, size, a, b in zip(plan, norms, sizes, bounds, bounds[1:]):
+        rows = None
+        if pattern is not None or size:  # an empty discard bucket has no state
+            rows = ArrayState(state.modes, occ[a:b], engine.select(unit, slice(a, b)),
+                              state.non_unitary)
+        branches.append((label, engine.squared(n), rows, accepted, pattern))
     return branches
-
-
-def _outcome(label, pattern, accepted, probability, rows, kets) -> HeraldOutcome:
-    """A branch of a single state (see :func:`_herald`) as a :class:`HeraldOutcome`."""
-    outcome = HeraldOutcome(label, probability, rows, accepted, pattern)
-    if kets is not None:
-        outcome._state = StateVector._nonzero(dict(zip(kets, rows.amp.tolist())),
-                                              rows.non_unitary)
-    return outcome
 
 
 def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOutcome]:
@@ -271,7 +265,7 @@ def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOut
     state = as_arrays(s)
     if state.amp.ndim > 1:
         raise ValueError("post_select takes one state, not a batch")
-    return [_outcome(*branch) for branch in _herald(state, rule)]
+    return [HeraldOutcome(*branch) for branch in _herald(state, rule)]
 
 
 def enumerate_outcomes(s: StateVector, paths: set[str] | frozenset[str]) -> dict[int, float]:
@@ -297,38 +291,33 @@ def restrict_to_paths(s: StateVector | ArrayState, keep: set[str] | frozenset[st
     the dropped paths (e.g. a resolved herald); raises ``ValueError``
     otherwise, because the restriction would not be a pure state.  An
     :class:`ArrayState` (also a batch) keeps its amplitudes and the columns
-    on ``keep``.
+    on ``keep``; a :class:`StateVector` is restricted on its rows.
     """
-    keep = frozenset(keep)
-    if isinstance(s, ArrayState):
-        modes, occ = _restriction(s.occ, s.modes, keep)
-        return ArrayState(modes, occ, s.amp, s.non_unitary)
-    kept_terms: dict[FockKet, complex] = {}
-    rests: set[FockKet] = set()
-    for k, amp in s.terms.items():
-        kept, rest = k.split_by_paths(keep)
-        rests.add(rest)
-        kept_terms[kept] = amp
-    if len(rests) > 1:
-        raise ValueError("state does not factor across the requested path split")
-    return StateVector(kept_terms, non_unitary=s.non_unitary)
+    if isinstance(s, StateVector):
+        return as_state(restrict_to_paths(as_arrays(s), keep))
+    modes, occ = _restriction(s.occ, s.modes, frozenset(keep))
+    return ArrayState(modes, occ, s.amp, s.non_unitary)
 
 
-def _combined_accepted(outcomes: list[HeraldOutcome]) -> StateVector | None:
-    """Coherent sum of the accepted components, renormalized."""
-    terms: dict[FockKet, complex] = {}
-    flag = False
-    for o in outcomes:
-        if not o.accepted or o.conditional_state is None:
-            continue
-        w = math.sqrt(o.probability)
-        flag = flag or o.conditional_state.non_unitary
-        for k, amp in o.conditional_state.terms.items():
-            terms[k] = terms.get(k, 0j) + w * amp
-    combined = StateVector(terms, non_unitary=flag)
-    if not combined.terms:  # no accepted component, or its weight underflowed to 0
+def _combined_accepted(outcomes: list[HeraldOutcome]) -> ArrayState | None:
+    """Coherent sum of the accepted components, renormalized, on their rows.
+
+    The outcomes of one herald hold distinct kets, so the sum lists their
+    rows one after another, each amplitude weighted by the square root of
+    its outcome's probability as Python multiplies a complex by a float.
+    """
+    accepted = [o for o in outcomes if o.accepted and o.rows is not None]
+    if not accepted:
         return None
-    return normalize(combined)
+    parts = shared_columns([o.rows for o in accepted])
+    weights = np.repeat([math.sqrt(o.probability) for o in accepted], [len(p.amp) for p in parts])
+    amp = 0j + engine._cmul(np.concatenate([p.amp for p in parts]), weights + 0j)
+    keep = engine.kept_rows(amp)
+    if not keep.any():  # no accepted component, or its weight underflowed to 0
+        return None
+    occ = np.concatenate([p.occ for p in parts]).compress(keep, axis=0)
+    return engine.normalize(ArrayState(parts[0].modes, occ, amp[keep],
+                                       any(p.non_unitary for p in parts)))
 
 
 def swap_sources(alpha: float) -> tuple[SourceSpec, SourceSpec]:
@@ -368,18 +357,18 @@ def run_swap(alpha: float = math.pi / 4, convention: Convention = Convention.UNI
     for op in ops:
         state = apply_element(state, op)
     outcomes = post_select(state, swap_herald_rule())
+    accepted = [o for o in outcomes if o.accepted]
 
     success = 0.0
-    pair_states: dict[str, StateVector] = {}
-    for o in outcomes:
-        if not o.accepted:
-            continue
+    for o in accepted:
         success += o.probability
-        # the detector modes factor out of a resolved herald, leaving the
-        # pure state of the four outer-photon paths
-        pair = restrict_to_paths(o.conditional_state, SWAP_PAIR_PATHS)
-        pair_states[o.label] = pair
-        o.metrics["pair_entropy"] = entanglement_entropy(pair, {"1", "1'"})
+    # the detector modes factor out of a resolved herald, leaving the pure
+    # state of the four outer-photon paths
+    pairs = [restrict_to_paths(o.rows, SWAP_PAIR_PATHS) for o in accepted]
+    pair_states: dict[str, StateVector] = {}
+    for o, pair, entropy in zip(accepted, pairs, entanglement_entropy(pairs, {"1", "1'"})):
+        pair_states[o.label] = as_state(pair)
+        o.metrics["pair_entropy"] = entropy
 
     combined = _combined_accepted(outcomes)
     metrics: dict[str, float] = {"success_probability": success}
@@ -396,7 +385,7 @@ def run_swap(alpha: float = math.pi / 4, convention: Convention = Convention.UNI
         convention=convention,
         outcomes=outcomes,
         success_probability=success,
-        combined_state=combined,
+        combined_state=None if combined is None else as_state(combined),
         pair_states=pair_states,
         metrics=metrics,
     )
@@ -463,7 +452,7 @@ def _ghz_batch(alpha: float | list[float], convention: Convention) -> _GhzBatch:
     per_detector = {"T": [0.0] * members, "T'": [0.0] * members}
     success = [0.0] * members
     fidelity: dict[str, list[float]] = {}
-    for _, pattern, accepted, probability, rows, _ in branches:
+    for _, probability, rows, accepted, pattern in branches:
         if not accepted:
             continue
         fired, probability = _fired(pattern), engine.per_member(probability)
@@ -492,13 +481,13 @@ def run_ghz(alpha: float | list[float] = math.pi / 4,
     if isinstance(alpha, list):
         return _ghz_sweep(alpha, convention)
     batch = _ghz_batch(alpha, convention)
-    outcomes = [_outcome(*branch) for branch in batch.branches]
+    outcomes = [HeraldOutcome(*branch) for branch in batch.branches]
     heralded_states: dict[str, StateVector] = {}
     metrics: dict[str, float] = {}
     for o in outcomes:
         if o.accepted:
             fired = _fired(o.pattern)
-            heralded_states[fired] = restrict_to_paths(o.conditional_state, GHZ_BRANCH_PATHS)
+            heralded_states[fired] = as_state(restrict_to_paths(o.rows, GHZ_BRANCH_PATHS))
             o.metrics["ghz_fidelity"] = metrics[f"ghz_fidelity[{fired}]"] = (
                 batch.fidelity[fired][0])
     metrics["total_probability"] = batch.success[0]

@@ -20,7 +20,10 @@ pipeline runs through the same public functions without building kets.
 The module also provides the linear-algebra layer used on results: inner
 products, partial traces (:func:`reduced_density`), bipartite entanglement
 entropy, and a phase-maximized fidelity against two-branch superposition
-targets (:func:`ghz_fidelity`).
+targets (:func:`ghz_fidelity`).  Partial traces and entropies run on the
+engine's rows, of one state or of a list of states at once (a herald's
+accepted outcomes), with the sums of a trace state by state, so a batch
+gives each state the same bits as a call of its own.
 
 Everything here is value-like: kets are immutable, states are never mutated
 after construction, and every operation returns a fresh object, so instances
@@ -30,7 +33,6 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -51,8 +53,8 @@ __all__ = [
     "as_state",
     "kets",
     "row_pieces",
-    "state_of",
     "match_kind",
+    "shared_columns",
     "tensor",
     "inner",
     "normalize",
@@ -116,14 +118,6 @@ class FockKet:
         object.__setattr__(self, "_hash", hash(pairs))
 
     @classmethod
-    def _canonical(cls, pairs: tuple[tuple[ModeLabel, int], ...]) -> FockKet:
-        """Wrap pairs that are already canonical: sorted, distinct modes, counts > 0."""
-        k = object.__new__(cls)
-        object.__setattr__(k, "_pairs", pairs)
-        object.__setattr__(k, "_hash", hash(pairs))
-        return k
-
-    @classmethod
     def from_modes(cls, modes: Iterable[ModeLabel]) -> FockKet:
         """Build a ket from a list of occupied modes; repeats raise the count."""
         return cls((m, 1) for m in modes)
@@ -149,15 +143,6 @@ class FockKet:
 
     def paths(self) -> frozenset[str]:
         return frozenset(m.path for m, _ in self._pairs)
-
-    def split_by_paths(self, keep: frozenset[str] | set[str]) -> tuple[FockKet, FockKet]:
-        """Partition occupations into (modes on kept paths, the rest)."""
-        kept = tuple(pair for pair in self._pairs if pair[0][0] in keep)
-        rest = tuple(pair for pair in self._pairs if pair[0][0] not in keep)
-        return FockKet._canonical(kept), FockKet._canonical(rest)
-
-    def merge(self, other: FockKet) -> FockKet:
-        return FockKet(self._pairs + other._pairs)
 
     def count_on_paths(self, paths: frozenset[str] | set[str]) -> int:
         return sum(n for m, n in self._pairs if m.path in paths)
@@ -296,6 +281,11 @@ def as_arrays(s: StateVector | ArrayState, modes: Iterable[ModeLabel] = ()) -> A
     return ArrayState(columns, occ, amp, s.non_unitary)
 
 
+# Up to this many rows, Python lists handle an occupation matrix faster than
+# numpy, whose fixed cost per call then dominates.
+_FEW_ROWS = 32
+
+
 def row_pieces(modes: tuple[ModeLabel, ...], occ: np.ndarray, piece) -> list[list]:
     """Each occupation row as its list of ``piece(mode, n)``, one per occupied column in order.
 
@@ -303,6 +293,10 @@ def row_pieces(modes: tuple[ModeLabel, ...], occ: np.ndarray, piece) -> list[lis
     its results; rows with the same number of occupied columns are gathered
     in one block.
     """
+    if len(occ) <= _FEW_ROWS:
+        made: dict = {}
+        return [[made[c, n] if (c, n) in made else made.setdefault((c, n), piece(modes[c], n))
+                 for c, n in enumerate(row) if n] for row in occ.tolist()]
     rows, cols = np.nonzero(occ)
     base = engine.MAX_OCCUPATION + 1
     codes = cols * base + occ[rows, cols]
@@ -332,18 +326,11 @@ def kets(modes: tuple[ModeLabel, ...], occ: np.ndarray) -> list[FockKet]:
     return out
 
 
-def state_of(terms: list[FockKet], amp: np.ndarray, non_unitary: bool = False) -> StateVector:
-    """The :class:`StateVector` of distinct kets and their amplitudes, zeros dropped."""
-    keep = np.hypot(amp.real, amp.imag) > 0.0
-    if not keep.all():
-        terms = [k for k, kept in zip(terms, keep.tolist()) if kept]
-        amp = amp[keep]
-    return StateVector._nonzero(dict(zip(terms, amp.tolist())), non_unitary)
-
-
 def as_state(a: ArrayState) -> StateVector:
-    """The array state as a :class:`StateVector`, terms in row order."""
-    return state_of(kets(a.modes, a.occ), a.amp, a.non_unitary)
+    """The array state as a :class:`StateVector`, terms in row order, zeros dropped."""
+    keep = engine._nonzero(a.amp)
+    occ, amp = (a.occ, a.amp) if keep.all() else (a.occ[keep], a.amp[keep])
+    return StateVector._nonzero(dict(zip(kets(a.modes, occ), amp.tolist())), a.non_unitary)
 
 
 def match_kind(given: StateVector | ArrayState, result: ArrayState) -> StateVector | ArrayState:
@@ -351,20 +338,13 @@ def match_kind(given: StateVector | ArrayState, result: ArrayState) -> StateVect
     return result if isinstance(given, ArrayState) else as_state(result)
 
 
-def _modes(s: StateVector | ArrayState) -> set[ModeLabel]:
-    if isinstance(s, ArrayState):
-        return set(s.modes)
-    return {m for k in s.terms for m, _ in k._pairs}
-
-
 def tensor(a: StateVector | ArrayState, b: StateVector | ArrayState) -> StateVector | ArrayState:
-    """Tensor product of states on disjoint path sets.
+    """Tensor product of states on disjoint path sets, over the union of their columns.
 
-    Takes and returns :class:`StateVector`; given two :class:`ArrayState`
-    over the same columns, returns one.
+    Returns the kind of state ``a`` is, a :class:`StateVector` or an
+    :class:`ArrayState`.
     """
-    modes = _modes(a) | _modes(b)
-    return match_kind(a, engine.tensor(as_arrays(a, modes), as_arrays(b, modes)))
+    return match_kind(a, engine.tensor(*shared_columns([a, b])))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -375,55 +355,111 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 def normalize(s: StateVector) -> StateVector:
-    """Rescale to unit norm; raises :class:`ZeroStateError` on a zero state."""
-    n = s.norm()
-    if n == 0.0:
-        raise ZeroStateError("cannot normalize a zero state")
-    if n < sys.float_info.min:  # 1 / n would overflow
-        return StateVector({k: a / n for k, a in s.terms.items()}, non_unitary=s.non_unitary)
-    return s.scaled(1.0 / n)
+    """Rescale to unit norm, on the rows; raises :class:`ZeroStateError` on a zero state."""
+    return as_state(engine.normalize(as_arrays(s)))
 
 
-def reduced_density(s: StateVector, keep_paths: set[str] | frozenset[str]) -> DensityMatrix:
+def shared_columns(states: list[StateVector | ArrayState]) -> list[ArrayState]:
+    """The states as rows over one tuple of columns, the union of theirs, in order."""
+    arrays = [as_arrays(s) for s in states]
+    if any(a.modes != arrays[0].modes for a in arrays):  # states built one by one
+        modes = tuple(sorted(set().union(*(a.modes for a in arrays))))
+        arrays = [as_arrays(as_state(a), modes) for a in arrays]
+    return arrays
+
+
+def _reduce(states: list, keep_paths) -> tuple:
+    """Partial traces of single states onto ``keep_paths``, on all their rows at once.
+
+    Returns ``(modes, basis, dims, rho, base)``: the kept columns, each
+    state's basis as kept occupations (``dims[i]`` rows for state ``i``, in
+    ket order), and the matrices flattened one after another (state ``i``'s
+    from ``base[i]``).  Each group of rows that share their traced-out
+    occupations adds the outer product of its amplitudes (numpy's products,
+    as ``np.outer``), groups in order of first occurrence, by ``np.bincount``
+    from +0.0: the sums of a trace state by state, less the zero terms.
+    """
+    arrays = shared_columns(states)
+    if any(a.amp.ndim > 1 for a in arrays):
+        raise ValueError("a partial trace takes single states, not batches")
+    sizes = [len(a.amp) for a in arrays]
+    if not all(sizes):
+        raise ZeroStateError("cannot reduce a zero state")
+    modes = arrays[0].modes
+    keep = np.array([m[0] in keep_paths for m in modes], dtype=bool)
+    occ = np.concatenate([a.occ for a in arrays])
+    amp = np.concatenate([a.amp for a in arrays])
+    state = np.repeat(np.arange(len(arrays)), sizes)
+
+    # the basis: distinct kept occupations per state, in ket order within each
+    ids, first = engine._group(np.column_stack([state, occ[:, keep]]))
+    listed = first[engine.ket_order(occ[first][:, keep])]
+    listed = listed[np.argsort(state[listed], kind="stable")]
+    dims = np.bincount(state[listed], minlength=len(arrays))
+    index = np.argsort(ids[listed])[ids] - np.repeat(np.cumsum(dims) - dims, sizes)
+
+    # rows grouped by traced-out occupation, groups in order of first occurrence
+    rest, first = engine._group(np.column_stack([state, occ[:, ~keep]]))
+    key = first[rest]
+    rows = np.argsort(key, kind="stable")
+    key = key[rows]
+    n = np.bincount(rest)[rest[rows]]  # size of each listed row's group
+    # every ordered pair (a, b) of rows in a group, group by group
+    a = np.repeat(rows, n)
+    partner = np.arange(len(a)) - np.repeat(np.cumsum(n) - n, n)
+    b = rows[np.repeat(np.searchsorted(key, key), n) + partner]
+    dims2 = dims * dims
+    base = np.cumsum(dims2) - dims2
+    entry = base[state[a]] + index[a] * dims[state[a]] + index[b]
+    products = amp[a] * amp[b].conj()
+    rho = np.empty(int(dims2.sum()), dtype=complex)
+    rho.real = np.bincount(entry, products.real, len(rho))
+    rho.imag = np.bincount(entry, products.imag, len(rho))
+    kept_modes = tuple(m for m, kept in zip(modes, keep.tolist()) if kept)
+    return kept_modes, occ[listed][:, keep], dims, rho, base
+
+
+def reduced_density(s: StateVector | ArrayState | list, keep_paths: set[str] | frozenset[str]
+                    ) -> DensityMatrix | list[DensityMatrix]:
     """Partial trace over every mode whose path is not in ``keep_paths``.
 
-    Expects a normalized input; the result then has unit trace.
+    Expects a normalized input; the result then has unit trace.  Given a
+    list of states, such as a herald's accepted outcomes, traces them all at
+    once on their rows and returns one matrix per state.
     """
-    if not s.terms:
-        raise ZeroStateError("cannot reduce a zero state")
-    keep = frozenset(keep_paths)
-    # amplitudes grouped by the traced-out remainder ket
-    groups: dict[FockKet, dict[FockKet, complex]] = {}
-    kept_kets: set[FockKet] = set()
-    for k, amp in s.terms.items():
-        kept, rest = k.split_by_paths(keep)
-        # (kept, rest) determines k uniquely, so plain assignment is exact
-        groups.setdefault(rest, {})[kept] = amp
-        kept_kets.add(kept)
-    basis = tuple(sorted(kept_kets))
-    index = {k: i for i, k in enumerate(basis)}
-    rho = np.zeros((len(basis), len(basis)), dtype=complex)
-    for comp in groups.values():
-        v = np.zeros(len(basis), dtype=complex)
-        for kept, amp in comp.items():
-            v[index[kept]] = amp
-        rho += np.outer(v, v.conj())
-    return DensityMatrix(basis=basis, matrix=rho)
+    many = isinstance(s, (list, tuple))
+    if many and not s:
+        return []
+    modes, basis, dims, rho, base = _reduce(s if many else [s], keep_paths)
+    terms = kets(modes, basis)
+    out = [DensityMatrix(tuple(terms[start:start + d]), rho[at:at + d * d].reshape(d, d))
+           for d, at, start in zip(dims.tolist(), base.tolist(), (np.cumsum(dims) - dims).tolist())]
+    return out if many else out[0]
 
 
-def entanglement_entropy(s: StateVector, partition: set[str] | frozenset[str]) -> float:
+def entanglement_entropy(s: StateVector | ArrayState | list, partition: set[str] | frozenset[str]
+                         ) -> float | list[float]:
     """Von Neumann entropy, in bits, of the reduction onto ``partition``.
 
     For a pure state this measures entanglement across the cut
-    ``partition | complement``; 0 log 0 is taken as 0.
+    ``partition | complement``; 0 log 0 is taken as 0.  Given a list of
+    states, returns one entropy per state: their density matrices are formed
+    at once, as :func:`reduced_density` forms them, and ``np.linalg.eigvalsh``
+    runs once per stack of matrices of one size.
     """
-    rho = reduced_density(s, partition)
-    lam = rho.eigenvalues()
-    ent = 0.0
-    for v in lam:
-        if v > 0.0:
-            ent -= float(v) * math.log2(float(v))
-    return ent
+    many = isinstance(s, (list, tuple))
+    if many and not s:
+        return []
+    _, _, dims, rho, base = _reduce(s if many else [s], partition)
+    out = [0.0] * len(dims)
+    for d in set(dims.tolist()):
+        chosen = np.flatnonzero(dims == d)
+        stack = rho[base[chosen, None] + np.arange(d * d)].reshape(-1, d, d)
+        for i, lam in zip(chosen.tolist(), np.linalg.eigvalsh(stack).tolist()):
+            for v in lam:
+                if v > 0.0:
+                    out[i] -= v * math.log2(v)
+    return out if many else out[0]
 
 
 @engine.memo_small
@@ -437,12 +473,10 @@ def _row_of(occ, modes: tuple, k: FockKet) -> int | None:
     return rows.index(row)
 
 
-def _amplitudes_of(s: ArrayState, k: FockKet) -> np.ndarray:
+def _amplitudes_of(s: ArrayState, k: FockKet) -> list[complex] | complex:
     """The amplitude of ket ``k`` in the array state, per member of a batch (0 if absent)."""
     row = _row_of(s.occ, s.modes, k)
-    if row is None:
-        return np.zeros(s.amp.shape[:-1], dtype=complex)
-    return s.amp[..., row]
+    return (np.zeros(s.amp.shape[:-1], dtype=complex) if row is None else s.amp[..., row]).tolist()
 
 
 def ghz_fidelity(s: StateVector | ArrayState, branch_a: FockKet, branch_b: FockKet
@@ -455,10 +489,7 @@ def ghz_fidelity(s: StateVector | ArrayState, branch_a: FockKet, branch_b: FockK
     """
     if branch_a == branch_b:
         raise ValueError("branch kets must differ")
-    if isinstance(s, ArrayState):
-        ca, cb = (_amplitudes_of(s, k).tolist() for k in (branch_a, branch_b))
-        if isinstance(ca, list):
-            return [(abs(a) + abs(b)) ** 2 / 2.0 for a, b in zip(ca, cb)]
-    else:
-        ca, cb = s.amplitude(branch_a), s.amplitude(branch_b)
+    ca, cb = (_amplitudes_of(as_arrays(s), k) for k in (branch_a, branch_b))
+    if isinstance(ca, list):
+        return [(abs(a) + abs(b)) ** 2 / 2.0 for a, b in zip(ca, cb)]
     return (abs(ca) + abs(cb)) ** 2 / 2.0

@@ -164,7 +164,7 @@ def test_batch_kernels_match_each_member_bit_for_bit(convention):
             for op in ops:
                 single = engine.lift(single, op)
             single, survived = engine.filter_rows(single, "x", high)
-            branches = [(label, p, rows) for label, _, _, p, rows, _ in _herald(single, rule)]
+            branches = [(label, p, rows) for label, p, rows, _, _ in _herald(single, rule)]
             return single, survived, branches
 
         def members(index):

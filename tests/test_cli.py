@@ -228,3 +228,59 @@ def test_unexpected_exception_exits_1_with_one_line(monkeypatch, capsys):
     assert main(["demo", "swap"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "KeyError" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------- one parser per process
+
+
+def run_main(argv, tmp_path, name, capsys):
+    """Exit code, stdout and written bytes of one ``main`` call with output to ``name``."""
+    out = tmp_path / name
+    code = main(argv + [str(out)])
+    return code, capsys.readouterr().out, out.read_bytes() if out.exists() else None
+
+
+def test_repeated_main_calls_match_a_fresh_parse(tmp_path, capsys):
+    import aomsim.cli
+
+    calls = [
+        ["run", SWAP_QC, "--pretty", "--json"],
+        ["run", SWAP_QC, "--json"],
+        ["demo", "ghz", "--alpha", "0.6", "--pretty", "--json"],
+        ["demo", "ghz", "--json"],
+        ["sweep", "ghz", "--steps", "5", "--csv"],
+        ["run", GHZ_QC, "--convention", "paper", "--json"],
+        ["demo", "swap", "--json"],
+        ["sweep", "ghz", "--convention", "paper", "--csv"],
+    ]
+    cached = [run_main(argv, tmp_path, f"cached{i}", capsys) for i, argv in enumerate(calls)]
+    assert aomsim.cli._parser.cache_info().currsize == 1
+    for i, (argv, got) in enumerate(zip(calls, cached)):
+        aomsim.cli._parser.cache_clear()
+        assert run_main(argv, tmp_path, f"fresh{i}", capsys) == got, argv
+    pretty, plain = cached[0][2], cached[1][2]
+    assert pretty != plain and json.loads(pretty) == json.loads(plain)
+
+
+def test_replaced_command_takes_effect_after_the_parser_is_cached(monkeypatch, capsys):
+    import aomsim.cli
+
+    assert main(["sweep", "ghz", "--steps", "2"]) == 0
+    seen = []
+    monkeypatch.setattr(aomsim.cli, "cmd_sweep", lambda args: seen.append(args.steps) or 7)
+    assert main(["sweep", "ghz", "--steps", "3"]) == 7
+    assert seen == [3]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("head,option,tail", [
+    (["demo", "swap"], "--alpha", ["--json"]),
+    (["demo", "ghz", "--convention", "paper"], "--alpha", ["--json"]),
+    (["sweep", "ghz", "--alpha-to", "1e-1", "--steps", "3"], "--alpha-from", ["--csv"]),
+    (["sweep", "ghz", "--alpha-from", "-2", "--steps", "3"], "--alpha-to", ["--csv"]),
+])
+def test_negative_exponent_value_as_separate_token(head, option, tail, tmp_path, capsys):
+    separate = run_main(head + [option, "-1e-3"] + tail, tmp_path, "separate", capsys)
+    joined = run_main(head + [f"{option}=-1e-3"] + tail, tmp_path, "joined", capsys)
+    assert separate[0] == 0
+    assert separate == joined
