@@ -10,6 +10,7 @@ a dense verification oracle, and the circuit description language.
 from .errors import (
     CapExceededError,
     CompileError,
+    NonFiniteError,
     OverlappingPathsError,
     SimulatorError,
     SpecInvariantError,
@@ -75,6 +76,7 @@ __all__ = [
     "HeraldOutcome",
     "HeraldRule",
     "ModeLabel",
+    "NonFiniteError",
     "OverlappingPathsError",
     "ParseError",
     "Pipeline",

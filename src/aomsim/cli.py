@@ -1,16 +1,18 @@
 """Command-line front end: run circuit files, built-in demos, parameter sweeps.
 
 Exit codes follow compiler-tool convention: 0 success, 2 parse/compile/usage
-errors (diagnostics on stderr with line numbers), 1 runtime errors and any
-unexpected exception (one line on stderr, no traceback).  Machine
+errors (diagnostics on stderr with line numbers, and output paths that
+cannot be written), 1 runtime errors and any unexpected exception (one line
+on stderr, no traceback).  Machine
 output (JSON reports, CSV sweeps) is deterministic: no timestamps, sorted
 keys, floats at 12 significant digits.
 
 A run report is encoded in one batch from the engine's rows of the outcome
 states (``HeraldOutcome.rows``), never from kets: the rows are put in ket
 order and grouped by outcome, each ``[path,bin,n]`` fragment and each
-distinct amplitude is encoded once, and the compact text is assembled from
-small ``json.dumps`` pieces with sorted keys.  ``--pretty`` re-indents that
+distinct amplitude is encoded once, each outcome's head comes from one
+format string, and the compact text is assembled from small ``json.dumps``
+pieces with sorted keys.  ``--pretty`` re-indents that
 text; float reprs round-trip, so only whitespace changes.
 """
 
@@ -23,6 +25,7 @@ import math
 import sys
 from functools import lru_cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +75,19 @@ def _floats_json(x: np.ndarray) -> list[str]:
     texts: dict[int, str] = {}  # keyed by bit pattern, which keeps -0.0 apart from 0.0
     return [texts[b] if b in texts else texts.setdefault(b, repr(_sig12(v)))
             for b, v in zip(x.view(np.int64).tolist(), x.tolist())]
+
+
+def _head(o: HeraldOutcome) -> str:
+    """An outcome's keys before ``state`` as compact JSON, without the closing brace.
+
+    Keys are in sorted order, strings are encoded as the JSON encoder
+    encodes them and floats are rounded as :func:`_compact` rounds them.
+    """
+    metrics = ",".join(f"{encode_basestring_ascii(k)}:{_sig12(v)!r}"
+                       for k, v in sorted(o.metrics.items()))
+    return (f'{{"accepted":{"true" if o.accepted else "false"},'
+            f'"label":{encode_basestring_ascii(o.label)},"metrics":{{{metrics}}},'
+            f'"probability":{_sig12(o.probability)!r}')
 
 
 def _fragment(mode, n: int) -> str:
@@ -138,9 +154,7 @@ def _outcomes_json(outcomes: list[HeraldOutcome]) -> list[str]:
     terms = iter(_terms_json(outcomes))
     pieces = ["["]
     for i, o in enumerate(outcomes):
-        head = _compact({"accepted": o.accepted, "label": o.label, "metrics": o.metrics,
-                         "probability": o.probability})
-        pieces.append(f'{"," if i else ""}{head[:-1]},"state":')  # "state" sorts last
+        pieces.append(f'{"," if i else ""}{_head(o)},"state":')  # "state" sorts last
         if o.rows is None:
             pieces.append("null}")
         elif len(o.rows.amp):
@@ -182,10 +196,20 @@ def _report(
     return "".join([head[:-1], ',"outcomes":', *_outcomes_json(outcomes), ",", tail[1:]])
 
 
-def _write_json(report: str, path: str, pretty: bool):
+def _write(path: str, text: str) -> int:
+    """Write ``text`` to ``path``: exit code 0, or 2 if the path cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _write_json(report: str, path: str, pretty: bool) -> int:
     if pretty:  # float reprs round-trip, so this only changes whitespace
         report = json.dumps(json.loads(report), sort_keys=True, indent=2)
-    Path(path).write_text(report + "\n", encoding="utf-8")
+    return _write(path, report + "\n")
 
 
 def _print_outcomes(outcomes: list[HeraldOutcome]):
@@ -243,7 +267,7 @@ def cmd_run(args) -> int:
             }
         report = _report(args.file, used, result.outcomes, result.success_probability,
                          metrics, result.bandwidth_valid, extra)
-        _write_json(report, args.json, args.pretty)
+        return _write_json(report, args.json, args.pretty)
     return 0
 
 
@@ -271,7 +295,7 @@ def cmd_demo(args) -> int:
     if args.json:
         report = _report(f"demo:{args.name}", convention, result.outcomes,
                          result.success_probability, result.metrics, bandwidth_valid, extra)
-        _write_json(report, args.json, args.pretty)
+        return _write_json(report, args.json, args.pretty)
     return 0
 
 
@@ -312,6 +336,10 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return 2
+    if args.steps > engine.TERM_BUDGET:
+        print(f"error: --steps must be at most {engine.TERM_BUDGET}, the engine's term budget",
+              file=sys.stderr)
+        return 2
     if not (math.isfinite(args.alpha_from) and math.isfinite(args.alpha_to)):
         print("error: --alpha-from and --alpha-to must be finite numbers", file=sys.stderr)
         return 2
@@ -330,12 +358,11 @@ def cmd_sweep(args) -> int:
     columns = (alphas, sweep.per_detector["T"].tolist(), sweep.success_probability.tolist(),
                sweep.fidelity.tolist())
     lines = ["alpha,per_detector_prob,total_prob,ghz_fidelity"]
-    lines += [",".join(f"{v:.12g}" for v in row) for row in zip(*columns)]
+    lines += ["%.12g,%.12g,%.12g,%.12g" % row for row in zip(*columns)]
     text = "\n".join(lines) + "\n"
     if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        return _write(args.csv, text)
+    sys.stdout.write(text)
     return 0
 
 

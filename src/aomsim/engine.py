@@ -10,9 +10,19 @@ filter rows and group rows by herald pattern.  ``FockKet`` and
 Rows are kept in the order in which a dict-based evolution would first
 insert their kets, and every kernel visits its input rows in ``FockKet``
 order (:func:`ket_order`).  Complex products and quotients are written out
-in real parts exactly as Python evaluates them, and norms are summed in row
-order, so amplitudes, probabilities and norms are bit-identical to a
-ket-by-ket evolution with Python complex numbers.
+in real parts exactly as Python evaluates them, so amplitudes are
+bit-identical to a ket-by-ket evolution with Python complex numbers.
+
+Norms are summed in one numpy pass over every member (or every outcome):
+each square is ``np.float_power(np.hypot(re, im), 2.0)``, which is Python's
+``abs(a) ** 2`` bit for bit (``np.abs`` and ``x * x`` round differently in
+the last bit), and the squares are added left to right by
+``np.add.accumulate``, as ``total += x`` adds them.  The norm and the
+probability ``norm ** 2`` then have the bits of that Python loop, and the
+order of the sum does not depend on the Python version (the built-in
+``sum`` compensates from Python 3.12).  A sum that underflows or overflows
+is taken again over the amplitudes scaled by their largest magnitude; a
+norm that is still not finite raises :class:`NonFiniteError`.
 
 The lift groups rows by their occupation of the element's modes (inputs
 plus outputs).  Each distinct sub-occupation is expanded once through the
@@ -29,7 +39,7 @@ parameter sweep, is one :class:`ArrayState` whose amplitudes carry a
 leading batch axis: ``amp: complex128[members, terms]``.  The kernels are
 written once, over ``amp[..., terms]``; a single state is the batch without
 that axis.  Each member gets exactly the arithmetic it would get on its own
-(norms are summed per member with Python floats), so a batch is
+(each member's squares are summed along its own row), so a batch is
 bit-identical to evolving its members one by one.  Where a kernel drops
 rows whose amplitude is zero, every member must drop the same rows: if
 their masks differ, the kernel raises :class:`BatchSplit` with the groups
@@ -53,6 +63,7 @@ import numpy as np
 
 from .errors import (
     CapExceededError,
+    NonFiniteError,
     OverlappingPathsError,
     SpecInvariantError,
     UnexpectedFrequencyError,
@@ -65,12 +76,13 @@ __all__ = [
     "ArrayState",
     "BatchSplit",
     "in_batches",
-    "per_member",
     "select",
     "kept_rows",
     "memo_small",
     "ket_order",
     "norm",
+    "span_norms",
+    "squared",
     "unit",
     "normalize",
     "source",
@@ -92,6 +104,8 @@ matrix alone takes 100 MB, and 2^20 amplitudes take 16 MB.
 MAX_OCCUPATION = int(np.iinfo(np.int8).max)
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_LARGEST = float(np.finfo(float).max)
+_LARGEST_ROOT = math.sqrt(_LARGEST)  # the largest float whose square is finite
 
 # Row plans of occupation matrices with at most this many rows are memoised
 # (see memo_small); the bound keeps the cached keys and plans small.
@@ -178,11 +192,6 @@ def _batch_size(amp: np.ndarray) -> int:
     return len(amp) if amp.ndim > 1 else 1
 
 
-def per_member(n: float | list[float]) -> list[float]:
-    """One value per member, from a single state's value or a batch's list."""
-    return n if isinstance(n, list) else [n]
-
-
 def _check_budget(rows: int, what: str, members: int = 1):
     """Rows per member of a step: over budget for one member raises, else chunks the batch."""
     if rows > TERM_BUDGET:
@@ -234,31 +243,120 @@ def kept_rows(amp: np.ndarray) -> np.ndarray:
     return nz[0]
 
 
-def _norm(values: list[complex]) -> float:
-    total = sum([abs(a) ** 2 for a in values])
-    if total < _SMALLEST_NORMAL:
-        peak = float(np.abs(np.array(values, dtype=complex)).max(initial=0.0))
-        if peak > 0.0:
-            return peak * math.sqrt(sum((abs(a) / peak) ** 2 for a in values))
-    return math.sqrt(total)
+def _squares(amp: np.ndarray) -> np.ndarray:
+    """``abs(a) ** 2`` of every amplitude, bit for bit as Python computes it.
+
+    ``np.hypot`` gives Python's complex ``abs`` (``np.abs`` does not, in the
+    last bit), and ``np.float_power(x, 2.0)`` its ``x ** 2``, the C ``pow``
+    (``x * x`` and ``np.power`` round differently); a square past the
+    largest float is ``inf``, where Python raises ``OverflowError``.
+    """
+    mag = np.hypot(amp.real, amp.imag)
+    if mag.size and mag.max() > _LARGEST_ROOT:
+        with np.errstate(over="ignore"):
+            return np.float_power(mag, 2.0)
+    return np.float_power(mag, 2.0)
+
+
+def _sums(sq: np.ndarray) -> np.ndarray:
+    """Sums of ``sq[..., terms]`` over the terms, each added left to right.
+
+    ``np.add.accumulate`` adds in order, as ``total += x`` does on every
+    Python version (``np.sum`` adds pairwise, and Python 3.12's ``sum``
+    compensates).
+    """
+    if not sq.shape[-1]:
+        return np.zeros(sq.shape[:-1])
+    sums = np.add.accumulate(sq, axis=-1)
+    return sums[-1] if sums.ndim == 1 else sums[..., -1]  # a numpy float, not a 0-d array
+
+
+def _roots(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square roots of sums of squares, and which of the sums neither under- nor overflowed."""
+    return np.sqrt(total), (total >= _SMALLEST_NORMAL) & (total <= _LARGEST)
+
+
+def _rescaled(amp: np.ndarray, n: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """``n`` where ``fine``, elsewhere the norm of ``amp[..., terms]`` summed on a rescaled state.
+
+    A sum of squares that underflowed (or overflowed) is summed again over
+    the magnitudes divided by their largest one, as ``np.abs`` gives it,
+    and the root is scaled back, so a tiny or huge nonzero state keeps its
+    precision.  Raises :class:`NonFiniteError` if a norm is still not a
+    finite number.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        peak = np.abs(amp).max(axis=-1, initial=0.0)
+        ratio = np.hypot(amp.real, amp.imag) / peak[..., None]
+        n = np.where(fine | (peak == 0.0), n, peak * np.sqrt(_sums(np.float_power(ratio, 2.0))))
+    if not np.isfinite(n).all():
+        raise NonFiniteError("the norm of a state is not a finite number")
+    return n
 
 
 def norm(amp: np.ndarray) -> float | list[float]:
-    """Euclidean norm summed in row order, as ``StateVector.norm`` sums its terms.
+    """Euclidean norm, squares summed in row order, as ``StateVector.norm`` sums its terms.
 
-    A batch gets a list with each member's norm.  If the sum of squares
-    falls below the smallest normal float, the amplitudes are scaled by
-    their largest magnitude first, so a tiny nonzero state keeps its
-    precision and never has norm 0.
+    A batch gets a list with each member's norm.  Each square is Python's
+    ``abs(a) ** 2`` and the squares are added left to right, so a norm has
+    the bits of ``math.sqrt`` of that sum on any Python version.  A sum that
+    underflows or overflows is redone on the amplitudes scaled by their
+    largest magnitude, so a tiny nonzero state never has norm 0 and a huge
+    one never overflows; a norm past the largest float, or of an infinite
+    or NaN amplitude, raises :class:`NonFiniteError`.
     """
-    if amp.ndim > 1:
-        return [_norm(values) for values in amp.tolist()]
-    return _norm(amp.tolist())
+    n, fine = _roots(_sums(_squares(amp)))
+    if not (fine.all() if fine.ndim else fine):  # (a numpy bool's all() costs microseconds)
+        n = _rescaled(amp, n, fine)
+    return n.tolist()
 
 
-def squared(n: float | list[float]) -> float | list[float]:
-    """``n ** 2`` of a norm, or of each member's norm, as Python squares a float."""
-    return [x ** 2 for x in n] if isinstance(n, list) else n ** 2
+@lru_cache(maxsize=256)
+def _span_plan(sizes: tuple[int, ...]) -> tuple:
+    """Per distinct nonzero span length: the spans of that length and the indices of their terms.
+
+    Memoised only for at most ``_MEMO_ROWS`` terms in all (see :func:`span_norms`).
+    """
+    sizes = np.array(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    plan = []
+    for size in sorted(set(sizes.tolist()) - {0}):
+        spans = np.flatnonzero(sizes == size)
+        plan.append((spans, starts[spans, None] + np.arange(size)))
+    return _read_only(tuple(plan))
+
+
+def span_norms(amp: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Norms of consecutive spans of the terms, ``sizes[i]`` terms in span ``i``.
+
+    Returns ``amp.shape[:-1] + (len(sizes),)``: a row of span norms per
+    member of a batch.  The squares are taken once for every term, and the
+    spans of one length are summed in one pass; each norm has the bits of
+    :func:`norm` of its span, and an empty span has norm 0.
+    """
+    sq = _squares(amp)
+    sizes = tuple(sizes)
+    plan = (_span_plan if sum(sizes) <= _MEMO_ROWS else _span_plan.__wrapped__)(sizes)
+    total = np.zeros(amp.shape[:-1] + (len(sizes),))
+    for spans, index in plan:
+        total[..., spans] = _sums(select(sq, index))
+    n, fine = _roots(total)
+    if not fine.all():
+        for spans, index in plan:
+            if not fine[..., spans].all():
+                n[..., spans] = _rescaled(select(amp, index), n[..., spans], fine[..., spans])
+    return n
+
+
+def squared(n: float | list[float] | np.ndarray) -> float | list[float]:
+    """``n ** 2`` of a norm, or of each member's norm, as Python squares a float.
+
+    Raises :class:`NonFiniteError` if a square passes the largest float.
+    """
+    n = np.asarray(n)
+    if n.size and n.max() > _LARGEST_ROOT:
+        raise NonFiniteError("a squared norm passes the largest float")
+    return np.float_power(n, 2.0).tolist()
 
 
 def unit(amp: np.ndarray, n: float | list[float] | np.ndarray | None = None) -> np.ndarray:
@@ -266,12 +364,17 @@ def unit(amp: np.ndarray, n: float | list[float] | np.ndarray | None = None) -> 
 
     ``n`` is one norm, a list with one per member of a batch, or an array
     that broadcasts against ``amp`` (one norm per row, say).  Raises
-    :class:`ZeroStateError` if a norm is zero.
+    :class:`ZeroStateError` if a norm is zero.  A norm below the smallest
+    normal float divides the amplitudes, since ``1 / n`` would overflow.
     """
     n = norm(amp) if n is None else n
+    if isinstance(n, float):  # one state: Python compares a float faster than numpy
+        if not n:
+            raise ZeroStateError("cannot normalize a zero state")
+        return _cmul(amp, 1.0 / n + 0j) if n >= _SMALLEST_NORMAL else _cdiv(amp, n)
     if isinstance(n, list):  # one scale per member
         n = np.array(n)[:, None]
-    if not np.all(n):
+    if not n.all():
         raise ZeroStateError("cannot normalize a zero state")
     if np.min(n, initial=math.inf) < _SMALLEST_NORMAL:  # 1 / n would overflow: divide by n
         return np.where(n < _SMALLEST_NORMAL, _cdiv(amp, n),
@@ -496,7 +599,7 @@ def _image_table(images: tuple, op_modes: tuple, sub: tuple[int, ...]):
         for m, n in pairs:
             occ[row, index[m]] = n
     amp = np.array([c for _, c in image], dtype=complex)
-    return _read_only((occ, amp, math.sqrt(sum(abs(c) ** 2 for _, c in image))))
+    return _read_only((occ, amp, norm(amp)))
 
 
 def _check_wiring(modes: tuple, occ: np.ndarray, name: str, images: dict):
@@ -612,7 +715,7 @@ def filter_rows(state: ArrayState, path: str, pass_bin: int) -> tuple[ArrayState
         keep = ~(occ[:, blocked] != 0).any(axis=1)
         occ, amp = occ.compress(keep, axis=0), select(amp, keep)
     n = norm(amp)
-    if not all(per_member(n)):
+    if not np.all(n):
         raise ZeroStateError(f"filter on {path} (pass bin {pass_bin}) removed every term")
     amp = unit(amp, n)
     keep = kept_rows(amp)

@@ -11,6 +11,11 @@ class ZeroStateError(SimulatorError):
     """An operation that needs a nonzero state received one with zero norm."""
 
 
+class NonFiniteError(SimulatorError):
+    """A state's norm is not a finite number: an amplitude is infinite or
+    NaN, or the norm passes the largest float."""
+
+
 class OverlappingPathsError(SimulatorError):
     """Tensor product operands share a path identifier."""
 

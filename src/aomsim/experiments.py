@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,30 +227,27 @@ def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
     One ``(label, probability, rows, accepted, pattern)`` per outcome, the
     arguments of :class:`HeraldOutcome`: ``probability`` is a list with one
     per member for a batch, and ``rows`` the normalized conditional state
-    (None for an empty discard bucket).  Each outcome's norm is summed on its
-    own slice of the amplitudes, and every row is rescaled in one product.
+    (None for an empty discard bucket).  The outcomes' norms are taken at
+    once (:func:`aomsim.engine.span_norms`), each over its own rows, and
+    every row is rescaled in one product.
     """
     order, sizes, plan = _herald_plan(state.occ, state.modes, rule)
     occ, amp = state.occ[order], engine.select(state.amp, order)
     bounds = np.cumsum([0] + sizes).tolist()
-    spans = list(zip(bounds, bounds[1:]))
-    values = amp.tolist()
-    if amp.ndim == 1:
-        norms = [engine._norm(values[a:b]) for a, b in spans]
-    else:
-        norms = [[engine._norm(member[a:b]) for member in values] for a, b in spans]
-    unit = engine.unit(amp, np.repeat(np.array(norms).T, sizes, axis=-1))  # by each row's norm
+    norms = engine.span_norms(amp, sizes)
+    unit = engine.unit(amp, np.repeat(norms, sizes, axis=-1))  # by each row's norm
     if np.count_nonzero(unit) < unit.size:  # a tiny amplitude underflowed to 0
         keep = engine.kept_rows(unit)
         unit, occ = engine.select(unit, keep), occ.compress(keep, axis=0)
         bounds = np.cumsum([0] + keep.tolist())[bounds].tolist()
     branches = []
-    for (label, pattern, accepted), n, size, a, b in zip(plan, norms, sizes, bounds, bounds[1:]):
+    for (label, pattern, accepted), p, size, a, b in zip(
+            plan, engine.squared(norms.T), sizes, bounds, bounds[1:]):
         rows = None
         if pattern is not None or size:  # an empty discard bucket has no state
             rows = ArrayState(state.modes, occ[a:b], engine.select(unit, slice(a, b)),
                               state.non_unitary)
-        branches.append((label, engine.squared(n), rows, accepted, pattern))
+        branches.append((label, p, rows, accepted, pattern))
     return branches
 
 
@@ -413,15 +410,15 @@ class GhzSweep:
 
 @dataclass
 class _GhzBatch:
-    """The GHZ scheme evolved for one angle or a batch; every list has one entry per angle.
+    """The GHZ scheme evolved for one angle or a batch; every array has one entry per angle.
 
     ``fidelity`` has the GHZ fidelity per fired detector, in herald order.
     """
 
     branches: list[tuple]
-    per_detector: dict[str, list[float]]
-    success: list[float]
-    fidelity: dict[str, list[float]]
+    per_detector: dict[str, np.ndarray]
+    success: np.ndarray
+    fidelity: dict[str, np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -449,18 +446,18 @@ def _ghz_batch(alpha: float | list[float], convention: Convention) -> _GhzBatch:
     branches = _herald(state, ghz_herald_rule())
 
     members = len(alpha) if isinstance(alpha, list) else 1
-    per_detector = {"T": [0.0] * members, "T'": [0.0] * members}
-    success = [0.0] * members
-    fidelity: dict[str, list[float]] = {}
+    per_detector = {"T": np.zeros(members), "T'": np.zeros(members)}
+    success = np.zeros(members)
+    fidelity: dict[str, np.ndarray] = {}
     for _, probability, rows, accepted, pattern in branches:
         if not accepted:
             continue
-        fired, probability = _fired(pattern), engine.per_member(probability)
-        success = [total + p for total, p in zip(success, probability)]
+        fired, probability = _fired(pattern), np.reshape(probability, members)
+        success = success + probability
         per_detector[fired] = probability
         three_photon = restrict_to_paths(rows, GHZ_BRANCH_PATHS)
-        fidelity[fired] = engine.per_member(
-            ghz_fidelity(three_photon, GHZ_BRANCH_A, GHZ_BRANCH_B))
+        fidelity[fired] = np.reshape(ghz_fidelity(three_photon, GHZ_BRANCH_A, GHZ_BRANCH_B),
+                                     members)
     return _GhzBatch(branches, per_detector, success, fidelity)
 
 
@@ -489,8 +486,9 @@ def run_ghz(alpha: float | list[float] = math.pi / 4,
             fired = _fired(o.pattern)
             heralded_states[fired] = as_state(restrict_to_paths(o.rows, GHZ_BRANCH_PATHS))
             o.metrics["ghz_fidelity"] = metrics[f"ghz_fidelity[{fired}]"] = (
-                batch.fidelity[fired][0])
-    metrics["total_probability"] = batch.success[0]
+                batch.fidelity[fired].item())
+    success = batch.success.item()
+    metrics["total_probability"] = success
 
     valid = check_bandwidth(BandwidthCheck(
         sigma_pump=1.0, filter_sigmas=tuple(f.sigma for f in GHZ_FILTERS)
@@ -499,8 +497,8 @@ def run_ghz(alpha: float | list[float] = math.pi / 4,
         alpha=alpha,
         convention=convention,
         outcomes=outcomes,
-        success_probability=batch.success[0],
-        per_detector={k: v[0] for k, v in batch.per_detector.items()},
+        success_probability=success,
+        per_detector={k: v.item() for k, v in batch.per_detector.items()},
         heralded_states=heralded_states,
         metrics=metrics,
         bandwidth_valid=valid,
@@ -516,9 +514,9 @@ def _ghz_sweep(alphas: list[float], convention: Convention) -> GhzSweep:
     """
     def evolve(index: np.ndarray):
         batch = _ghz_batch([alphas[i] for i in index.tolist()], convention)
-        fidelities = list(batch.fidelity.values()) or [[0.0] * len(index)]
-        least = reduce(lambda a, b: list(map(min, a, b)), fidelities)
-        return zip(batch.per_detector["T"], batch.per_detector["T'"], batch.success, least)
+        least = np.min(list(batch.fidelity.values()) or [np.zeros(len(index))], axis=0)
+        return np.column_stack((batch.per_detector["T"], batch.per_detector["T'"],
+                                batch.success, least)).tolist()
 
     rows = engine.in_batches(evolve, len(alphas)) if alphas else []
     per_t, per_t_prime, success, least = np.array(rows, dtype=float).reshape(-1, 4).T

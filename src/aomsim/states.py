@@ -473,10 +473,13 @@ def _row_of(occ, modes: tuple, k: FockKet) -> int | None:
     return rows.index(row)
 
 
-def _amplitudes_of(s: ArrayState, k: FockKet) -> list[complex] | complex:
-    """The amplitude of ket ``k`` in the array state, per member of a batch (0 if absent)."""
+def _magnitudes_of(s: ArrayState, k: FockKet) -> np.ndarray:
+    """``abs`` of the amplitude of ket ``k`` in the array state, per member of a batch (0 if absent)."""
     row = _row_of(s.occ, s.modes, k)
-    return (np.zeros(s.amp.shape[:-1], dtype=complex) if row is None else s.amp[..., row]).tolist()
+    if row is None:
+        return np.zeros(s.amp.shape[:-1])
+    a = s.amp[..., row]
+    return np.hypot(a.real, a.imag)
 
 
 def ghz_fidelity(s: StateVector | ArrayState, branch_a: FockKet, branch_b: FockKet
@@ -484,12 +487,12 @@ def ghz_fidelity(s: StateVector | ArrayState, branch_a: FockKet, branch_b: FockK
     """Best overlap with the family (|a> + e^{i phi}|b>)/sqrt(2) over phi.
 
     Phase-insensitive by construction; the maximum over phi has the closed
-    form (|<a|s>| + |<b|s>|)^2 / 2, which this returns.  A batch of array
-    states gets a list with each member's fidelity.
+    form (|<a|s>| + |<b|s>|)^2 / 2, which this returns, with the bits of
+    Python's ``(abs(a) + abs(b)) ** 2 / 2.0``.  A batch of array states gets
+    a list with each member's fidelity.
     """
     if branch_a == branch_b:
         raise ValueError("branch kets must differ")
-    ca, cb = (_amplitudes_of(as_arrays(s), k) for k in (branch_a, branch_b))
-    if isinstance(ca, list):
-        return [(abs(a) + abs(b)) ** 2 / 2.0 for a, b in zip(ca, cb)]
-    return (abs(ca) + abs(cb)) ** 2 / 2.0
+    s = as_arrays(s)
+    total = _magnitudes_of(s, branch_a) + _magnitudes_of(s, branch_b)
+    return (np.float_power(total, 2.0) / 2.0).tolist()

@@ -94,20 +94,20 @@ def test_angles_that_drop_rows_are_split_off(alpha_from, first_row, tmp_path, mo
 
 
 def test_sweep_is_chunked_to_the_term_budget(monkeypatch, tmp_path, capsys):
-    argv = ["sweep", "ghz", "--steps", "33", "--convention", "paper", "--csv"]
+    argv = ["sweep", "ghz", "--steps", "24", "--convention", "paper", "--csv"]
     assert main(argv + [str(tmp_path / "full.csv")]) == 0
     shapes = record_lift_inputs(monkeypatch)
     monkeypatch.setattr(engine, "TERM_BUDGET", 24)  # 3 angles of the lift's 8 image terms
     assert main(argv + [str(tmp_path / "chunked.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
-    # alpha = 0 alone, then 32 angles in chunks of at most 3
-    assert len(shapes) == 12 and max(members for members, _ in shapes) == 3
+    # alpha = 0 alone, then 23 angles in chunks of at most 3 (--steps stays within the budget)
+    assert len(shapes) == 9 and max(members for members, _ in shapes) == 3
 
 
 def test_one_angle_over_the_term_budget_still_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(engine, "TERM_BUDGET", 3)
-    assert main(["sweep", "ghz", "--steps", "4"]) == 1
+    assert main(["sweep", "ghz", "--steps", "3"]) == 1
     err = capsys.readouterr().err
     assert "budget" in err and "Traceback" not in err
 

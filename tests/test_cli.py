@@ -218,6 +218,33 @@ def test_sweep_non_finite_range_exits_2(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run", SWAP_QC, "--json"], ["demo", "ghz", "--json"],
+                                  ["sweep", "ghz", "--steps", "3", "--csv"]],
+                         ids=["run", "demo", "sweep"])
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_output_path_exits_2(argv, target, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "out" if target == "missing_directory" else tmp_path)
+    assert main(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_sweep_steps_are_bounded_by_the_term_budget(monkeypatch, capsys):
+    import aomsim.cli
+
+    monkeypatch.setattr(aomsim.cli.engine, "TERM_BUDGET", 16)
+    assert main(["sweep", "ghz", "--steps", "16"]) == 0
+    assert capsys.readouterr().out.count("\n") == 17  # header and 16 rows
+
+    def unreached(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(aomsim.cli, "run_ghz", unreached)
+    assert main(["sweep", "ghz", "--steps", "17"]) == 2
+    err = capsys.readouterr().err
+    assert "--steps" in err and "16" in err
+
+
 def test_unexpected_exception_exits_1_with_one_line(monkeypatch, capsys):
     import aomsim.cli
 

@@ -10,6 +10,7 @@ from aomsim import (
     CapExceededError,
     Convention,
     FockKet,
+    NonFiniteError,
     StateVector,
     apply_element,
     compile_circuit,
@@ -199,3 +200,14 @@ def test_norm_and_unit_of_tiny_amplitudes(scale):
     amp = np.array([3 * scale, 4j * scale])
     assert engine.norm(amp) == pytest.approx(5 * scale, rel=1e-3 if scale < 1e-308 else 1e-15)
     assert np.allclose(engine.unit(amp), [0.6, 0.8j], atol=1e-3)
+
+
+def test_norm_and_unit_of_a_batch_with_one_huge_member():
+    """A member whose squares overflow is rescaled on its own; the others keep their bits."""
+    amp = np.array([[0.6, 0.8j], [3e200, 4e200j], [3e-200, 4e-200j], [1.0, 0.0]])
+    norms = engine.norm(amp)
+    assert norms[1] == pytest.approx(5e200, rel=1e-15)
+    assert [norms[i] for i in (0, 2, 3)] == [engine.norm(amp[i]) for i in (0, 2, 3)]
+    assert np.allclose(engine.unit(amp), [[0.6, 0.8j]] * 3 + [[1.0, 0.0]], rtol=1e-15)
+    with pytest.raises(NonFiniteError):
+        engine.squared(norms)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from aomsim import (
     FockKet,
     ModeLabel,
+    NonFiniteError,
     OverlappingPathsError,
     StateVector,
     ZeroStateError,
@@ -231,6 +232,27 @@ def test_norm_and_normalize_of_a_tiny_nonzero_state(scale):
     pair = StateVector({k: 3 * scale, FockKet({M("b", 0): 1}): 4j * scale})
     assert pair.norm() == pytest.approx(5 * scale, rel=1e-3 if scale < 1e-308 else 1e-15)
     assert abs(normalize(pair).amplitude(k)) == pytest.approx(0.6, rel=1e-3)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300, 3e307])
+def test_norm_and_normalize_of_a_huge_state(scale):
+    """Squares that overflow neither fail the norm nor the normalization."""
+    k = FockKet({M("a", 0): 1})
+    s = StateVector({k: scale})
+    assert s.norm() == scale
+    assert normalize(s).terms == {k: 1.0}
+    pair = StateVector({k: 3 * scale, FockKet({M("b", 0): 1}): 4j * scale})
+    assert pair.norm() == pytest.approx(5 * scale, rel=1e-15)
+    assert abs(normalize(pair).amplitude(k)) == pytest.approx(0.6, rel=1e-15)
+
+
+@pytest.mark.parametrize("amp", [1.5e308, math.inf])
+def test_norm_past_the_largest_float_raises(amp):
+    s = StateVector({FockKet({M("a", 0): 1}): amp, FockKet({M("a", 1): 1}): amp})
+    with pytest.raises(NonFiniteError):
+        s.norm()
+    with pytest.raises(NonFiniteError):
+        normalize(s)
 
 
 # ---------------------------------------------------------------- reductions
