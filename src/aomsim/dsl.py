@@ -21,6 +21,12 @@ and reports must follow it.  :func:`parse` never raises on bad input: it
 returns either a :class:`CircuitAst` or the list of :class:`ParseError`
 diagnostics (1-based line/column).  Structural checks that need element
 semantics (AOM bin/shift consistency) happen in :func:`compile_circuit`.
+
+:meth:`Pipeline.run` is the one code path that evolves a circuit: ``aomsim
+run`` calls it on a file, and :func:`~aomsim.experiments.run_swap` and
+:func:`~aomsim.experiments.run_ghz` on the shipped ``circuits/swap.qc`` and
+``circuits/ghz.qc``.  It can override every source's angle, and a list of
+angles runs as one batch through the engine, one amplitude row per angle.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from . import engine
 from .elements import (
@@ -51,6 +59,7 @@ from .errors import CompileError, SpecInvariantError, ZeroStateError
 from .experiments import (
     HeraldOutcome,
     HeraldRule,
+    _herald,
     post_select,
     restrict_to_paths,
 )
@@ -506,10 +515,25 @@ class Pipeline:
     reports: list[ReportEntropyStmt | ReportGhzStmt | ReportOutcomesStmt]
     pump_sigma: float | None
 
-    def run(self, convention_override: Convention | None = None) -> PipelineResult:
-        """Evolve one occupation matrix over the mode closure, then herald and report."""
+    def run(self, convention_override: Convention | None = None,
+            alpha: float | list[float] | None = None) -> PipelineResult:
+        """Evolve one occupation matrix over the mode closure, then herald and report.
+
+        ``alpha`` gives every source that angle, as ``convention_override``
+        gives every AOM that convention.  A list of angles evolves one batch
+        with one member per angle (:mod:`aomsim.engine`): each outcome's
+        probability, each ``report ghz`` fidelity, each filter survival and
+        the success probability are then lists with one value per member,
+        and a circuit with ``report entropy`` or ``report outcomes`` raises
+        ``ValueError``.  A batch whose members cannot share their rows raises
+        :class:`~aomsim.engine.BatchSplit`, for
+        :func:`~aomsim.engine.in_batches` to run its groups.
+        """
         if not self.sources:
             raise ZeroStateError("circuit has no sources; nothing to evolve")
+        batch = isinstance(alpha, list)
+        if batch and not all(isinstance(r, ReportGhzStmt) for r in self.reports):
+            raise ValueError("a batch of angles supports only 'report ghz'")
         steps: list[ElementOp | FilterSpec] = []
         for element in self.elements:
             if isinstance(element, AomSpec):
@@ -520,7 +544,7 @@ class Pipeline:
         modes = circuit_modes(self.sources, [s for s in steps if isinstance(s, ElementOp)])
         state: engine.ArrayState | None = None
         for spec in self.sources:
-            emitted = make_source(spec, modes)
+            emitted = make_source(spec, modes, alpha)
             state = emitted if state is None else tensor(state, emitted)
         filter_survivals: dict[str, float] = {}
         filter_sigmas: list[float] = []
@@ -536,17 +560,19 @@ class Pipeline:
             bandwidth_valid = check_bandwidth(
                 BandwidthCheck(self.pump_sigma, tuple(filter_sigmas))
             )
-        if self.herald is not None:
-            outcomes = post_select(state, self.herald)
-        else:
+        if self.herald is None:
             outcomes = [
                 HeraldOutcome(
                     label="all",
-                    probability=engine.norm(state.amp) ** 2,
+                    probability=engine.squared(engine.norm(state.amp)),
                     conditional_state=state,
                     accepted=True,
                 )
             ]
+        elif batch:  # post_select takes one state
+            outcomes = [HeraldOutcome(*branch) for branch in _herald(state, self.herald)]
+        else:
+            outcomes = post_select(state, self.herald)
         # metrics are computed on the outcomes' rows, all outcomes at once
         accepted = [o for o in outcomes if o.accepted and o.rows is not None]
         count_distributions: dict[str, dict[int, float]] = {}
@@ -565,10 +591,15 @@ class Pipeline:
                 for outcome in accepted:
                     outcome.metrics["ghz_fidelity"] = ghz_fidelity(
                         restrict_to_paths(outcome.rows, branch_paths), a, b)
-        success = sum(o.probability for o in outcomes if o.accepted)
+        # from 0.0 in outcome order, per member for a batch: sum() would give the int 0
+        # when nothing is accepted, and compensates from Python 3.12
+        success = np.zeros(len(alpha)) if batch else 0.0
+        for o in outcomes:
+            if o.accepted:
+                success = success + o.probability
         return PipelineResult(
             outcomes=outcomes,
-            success_probability=success,
+            success_probability=success.tolist() if batch else success,
             final=state,
             count_distributions=count_distributions,
             filter_survivals=filter_survivals,

@@ -1,27 +1,27 @@
-"""Turnkey pipelines: heralded entanglement swap and three-photon GHZ scheme.
+"""Heralding primitives and the paper's two schemes: entanglement swap and three-photon GHZ.
 
-Both experiments start from two biphoton sources, route the inner photon
-pairs through AOMs, and condition on number-resolving photon-count patterns
-over the AOM output paths.  :func:`post_select` is the shared heralding
-primitive: it partitions a state by the per-path photon-count pattern over
-the paths a rule mentions, accepts the patterns whose per-clause totals match
-exactly, and lumps everything else into one discard bucket.  It groups the
-rows of an array state (:mod:`aomsim.engine`), lists them outcome by outcome,
-and normalizes every outcome in one pass over those rows; no outcome builds
-its kets until its conditional state is read.  The metrics (entropies,
-fidelities, the swap's combined accepted state) run on the same rows.
+:func:`post_select` is the shared heralding primitive: it partitions a state
+by the per-path photon-count pattern over the paths a rule mentions, accepts
+the patterns whose per-clause totals match exactly, and lumps everything
+else into one discard bucket.  It groups the rows of an array state
+(:mod:`aomsim.engine`), lists them outcome by outcome, and normalizes every
+outcome in one pass over those rows; no outcome builds its kets until its
+conditional state is read.  :func:`_herald` is the same split for a batch of
+states, one probability per member.
 
-The GHZ scheme is evaluated for a batch of source angles at once: every
-angle shares the occupations and row plans, and only the amplitudes carry
-one row per angle.  :func:`run_ghz` of one angle is that evaluation without
-the batch axis; given a list of angles, it reads each angle's
-probabilities and fidelity straight from the batch (:class:`GhzSweep`).
-
-The swap layout (two AOMs) projects the two untouched outer photons onto a
-maximally frequency-entangled pair whenever exactly one photon exits each
-AOM; the single-AOM layout heralds a three-photon GHZ-class state on exactly
-one detector firing.  Success probabilities, conditional states, entropies,
-and GHZ fidelities are reported per herald.
+The schemes themselves are circuit text, shipped with the package as
+``circuits/swap.qc`` and ``circuits/ghz.qc``: :func:`run_swap` and
+:func:`run_ghz` compile them (once per process) and run them through
+:meth:`aomsim.dsl.Pipeline.run`, the one code path that evolves a circuit.
+They add only their own metrics and result types.  The swap layout (two
+AOMs) projects the two untouched outer photons onto a maximally
+frequency-entangled pair whenever exactly one photon exits each AOM; its
+combined accepted state is probed for factorization on the same rows.  The
+GHZ layout (one AOM, two filtered detectors) heralds a three-photon
+GHZ-class state on exactly one detector firing.  Given a list of angles,
+:func:`run_ghz` runs them as one batch through the same ``Pipeline.run``,
+with one amplitude row per angle, and reads each angle's probabilities and
+fidelity from it (:class:`GhzSweep`).
 """
 
 from __future__ import annotations
@@ -29,34 +29,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 
 from . import engine
 from .engine import ArrayState
-from .elements import (
-    AomSpec,
-    BandwidthCheck,
-    Convention,
-    FilterSpec,
-    SourceSpec,
-    apply_element,
-    apply_filter,
-    check_bandwidth,
-    circuit_modes,
-    make_aom,
-    make_source,
-)
+# apply_element, apply_filter, make_source, tensor and ghz_fidelity go unused here but stay
+# bound, since bench/tracing.py wraps each by name in this module
+from .elements import AomSpec, Convention, apply_element, apply_filter, make_source
 from .states import (
-    FockKet,
-    ModeLabel,
     StateVector,
     as_arrays,
     as_state,
     entanglement_entropy,
+    ghz_fidelity,
     normalize,
     reduced_density,
-    ghz_fidelity,
     shared_columns,
     tensor,
 )
@@ -72,23 +61,7 @@ __all__ = [
     "restrict_to_paths",
     "run_swap",
     "run_ghz",
-    "swap_herald_rule",
-    "ghz_herald_rule",
-    "GHZ_BRANCH_A",
-    "GHZ_BRANCH_B",
 ]
-
-_m = ModeLabel
-
-# herald branches of the three-photon GHZ state: the two ways the undetected
-# photons can be correlated once one AOM output fires
-GHZ_BRANCH_A = FockKet({_m("1", 0): 1, _m("3'", 1): 1, _m("4'", 0): 1})
-GHZ_BRANCH_B = FockKet({_m("1'", 1): 1, _m("2'", 0): 1, _m("4", 1): 1})
-GHZ_BRANCH_PATHS = frozenset(m.path for m in GHZ_BRANCH_A.modes() + GHZ_BRANCH_B.modes())
-GHZ_FILTERS = (FilterSpec("T", pass_bin=0, sigma=1.0), FilterSpec("T'", pass_bin=1, sigma=1.0))
-
-SWAP_PAIR_PATHS = frozenset({"1", "1'", "4", "4'"})
-SWAP_OUTPUT_PATHS = frozenset({"T1", "T1'", "T2", "T2'"})
 
 
 @dataclass(frozen=True)
@@ -317,71 +290,62 @@ def _combined_accepted(outcomes: list[HeraldOutcome]) -> ArrayState | None:
                                        any(p.non_unitary for p in parts)))
 
 
-def swap_sources(alpha: float) -> tuple[SourceSpec, SourceSpec]:
-    s1 = SourceSpec("S1", arms=(_m("1", 0), _m("2", 1)), alt=(_m("1'", 1), _m("2'", 0)), alpha=alpha)
-    s2 = SourceSpec("S2", arms=(_m("3", 0), _m("4", 1)), alt=(_m("3'", 1), _m("4'", 0)), alpha=alpha)
-    return s1, s2
+@lru_cache(maxsize=None)
+def _shipped(name: str):
+    """The :class:`~aomsim.dsl.Pipeline` of the shipped ``circuits/<name>.qc``, compiled once."""
+    from .dsl import compile_circuit, parse  # imported here: dsl imports the heralding above
+
+    text = (resources.files("aomsim") / "circuits" / f"{name}.qc").read_text("utf-8")
+    return compile_circuit(parse(text))
 
 
-def swap_herald_rule() -> HeraldRule:
-    return HeraldRule(
-        clauses=((frozenset({"T1", "T1'"}), 1), (frozenset({"T2", "T2'"}), 1))
-    )
-
-
-def ghz_herald_rule() -> HeraldRule:
-    return HeraldRule(clauses=((frozenset({"T", "T'"}), 1),))
+def _untouched_paths(pipeline) -> frozenset[str]:
+    """Paths a source emits on that no element reads: the swap's outer photons."""
+    read: set[str] = set()
+    for e in pipeline.elements:
+        read |= {e.input_a.path, e.input_b.path} if isinstance(e, AomSpec) else {e.path}
+    return frozenset(m.path for s in pipeline.sources for m in s.arms + s.alt) - read
 
 
 def run_swap(alpha: float = math.pi / 4, convention: Convention = Convention.UNITARY) -> SwapResult:
-    """Entanglement swap: two sources, two AOMs, one photon per output pair.
+    """Entanglement swap (``circuits/swap.qc``): two sources, two AOMs, one photon per output pair.
 
     The four resolved heralds (one specific output path per AOM) each carry
     the conditional state of the outer photons and its entanglement entropy
-    across the {1, 1'} | {4, 4'} cut.  The combined (pattern-blind) accepted
+    across the {1, 1'} | {4, 4'} cut (the circuit's ``report entropy``,
+    relabelled ``pair_entropy``).  The combined (pattern-blind) accepted
     state is also reported with metrics probing whether it factorizes into
     outer-pair times AOM-output parts, which holds for the all-positive
     literal convention but not for the unitary one.
     """
-    s1, s2 = swap_sources(alpha)
-    aom1 = AomSpec("AOM1", _m("2", 1), _m("3", 0), output_x="T1", output_y="T1'",
-                   phase_convention=convention)
-    aom2 = AomSpec("AOM2", _m("3'", 1), _m("2'", 0), output_x="T2'", output_y="T2",
-                   phase_convention=convention)
-    ops = (make_aom(aom1), make_aom(aom2))
-    modes = circuit_modes((s1, s2), ops)
-    state = tensor(make_source(s1, modes), make_source(s2, modes))
-    for op in ops:
-        state = apply_element(state, op)
-    outcomes = post_select(state, swap_herald_rule())
-    accepted = [o for o in outcomes if o.accepted]
-
-    success = 0.0
-    for o in accepted:
-        success += o.probability
-    # the detector modes factor out of a resolved herald, leaving the pure
-    # state of the four outer-photon paths
-    pairs = [restrict_to_paths(o.rows, SWAP_PAIR_PATHS) for o in accepted]
+    pipeline = _shipped("swap")
+    run = pipeline.run(convention, alpha)
+    outcomes = run.outcomes
+    pair_paths = _untouched_paths(pipeline)
     pair_states: dict[str, StateVector] = {}
-    for o, pair, entropy in zip(accepted, pairs, entanglement_entropy(pairs, {"1", "1'"})):
-        pair_states[o.label] = as_state(pair)
-        o.metrics["pair_entropy"] = entropy
+    for o in outcomes:
+        if o.accepted:
+            (entropy,) = o.metrics.values()  # the circuit's one report, across {1, 1'}
+            o.metrics = {"pair_entropy": entropy}
+            # the detector modes factor out of a resolved herald, leaving the
+            # pure state of the four outer-photon paths
+            pair_states[o.label] = as_state(restrict_to_paths(o.rows, pair_paths))
 
     combined = _combined_accepted(outcomes)
-    metrics: dict[str, float] = {"success_probability": success}
+    metrics: dict[str, float] = {"success_probability": run.success_probability}
     if combined is not None:
-        metrics["unresolved_split_entropy"] = entanglement_entropy(combined, SWAP_PAIR_PATHS)
-        metrics["output_purity"] = reduced_density(combined, SWAP_OUTPUT_PATHS).purity()
-        target = normalize(StateVector({
-            FockKet({_m("1", 0): 1, _m("4'", 0): 1}): 1.0,
-            FockKet({_m("1'", 1): 1, _m("4", 1): 1}): 1.0,
-        }))
-        metrics["pair_block_fidelity"] = reduced_density(combined, SWAP_PAIR_PATHS).fidelity(target)
+        metrics["unresolved_split_entropy"] = entanglement_entropy(combined, pair_paths)
+        output_paths = frozenset(pipeline.herald.paths())
+        metrics["output_purity"] = reduced_density(combined, output_paths).purity()
+        # the in-phase superposition of the two kets each resolved herald leaves on the pair
+        kets = sorted({k for pair in pair_states.values() for k in pair.terms})
+        target = normalize(StateVector(dict.fromkeys(kets, 1.0)))
+        metrics["pair_block_fidelity"] = reduced_density(combined, pair_paths).fidelity(target)
     return SwapResult(
         alpha=alpha,
         convention=convention,
         outcomes=outcomes,
-        success_probability=success,
+        success_probability=run.success_probability,
         combined_state=None if combined is None else as_state(combined),
         pair_states=pair_states,
         metrics=metrics,
@@ -408,62 +372,9 @@ class GhzSweep:
     fidelity: np.ndarray
 
 
-@dataclass
-class _GhzBatch:
-    """The GHZ scheme evolved for one angle or a batch; every array has one entry per angle.
-
-    ``fidelity`` has the GHZ fidelity per fired detector, in herald order.
-    """
-
-    branches: list[tuple]
-    per_detector: dict[str, np.ndarray]
-    success: np.ndarray
-    fidelity: dict[str, np.ndarray]
-
-
-@lru_cache(maxsize=None)
-def _ghz_circuit(convention: Convention):
-    """Sources, AOM and mode closure of the GHZ scheme; each evaluation gives its own angles."""
-    s1, s2 = swap_sources(math.pi / 4)
-    aom = AomSpec("AOM", _m("2", 1), _m("3", 0), output_x="T'", output_y="T",
-                  phase_convention=convention)
-    op = make_aom(aom)
-    return s1, s2, op, circuit_modes((s1, s2), (op,))
-
-
-def _ghz_batch(alpha: float | list[float], convention: Convention) -> _GhzBatch:
-    """Evolve the GHZ scheme for one angle, or for a list of angles as one batch.
-
-    Both sources emit one member per angle, so the herald's probabilities
-    and the accepted states' fidelities come out per angle.  Raises
-    :class:`~aomsim.engine.BatchSplit` where the angles cannot share rows.
-    """
-    s1, s2, op, modes = _ghz_circuit(convention)
-    state = tensor(make_source(s1, modes, alpha), make_source(s2, modes, alpha))
-    state = apply_element(state, op)
-    for spec in GHZ_FILTERS:
-        state, _ = apply_filter(state, spec)
-    branches = _herald(state, ghz_herald_rule())
-
-    members = len(alpha) if isinstance(alpha, list) else 1
-    per_detector = {"T": np.zeros(members), "T'": np.zeros(members)}
-    success = np.zeros(members)
-    fidelity: dict[str, np.ndarray] = {}
-    for _, probability, rows, accepted, pattern in branches:
-        if not accepted:
-            continue
-        fired, probability = _fired(pattern), np.reshape(probability, members)
-        success = success + probability
-        per_detector[fired] = probability
-        three_photon = restrict_to_paths(rows, GHZ_BRANCH_PATHS)
-        fidelity[fired] = np.reshape(ghz_fidelity(three_photon, GHZ_BRANCH_A, GHZ_BRANCH_B),
-                                     members)
-    return _GhzBatch(branches, per_detector, success, fidelity)
-
-
 def run_ghz(alpha: float | list[float] = math.pi / 4,
             convention: Convention = Convention.UNITARY) -> GhzResult | GhzSweep:
-    """Three-photon GHZ scheme: one AOM, two filtered detectors, one click.
+    """Three-photon GHZ scheme (``circuits/ghz.qc``): one AOM, two filtered detectors, one click.
 
     Heralding on exactly one photon across {T, T'} excludes both the
     both-fire and both-dark branches; each detector outcome leaves the three
@@ -471,53 +382,61 @@ def run_ghz(alpha: float | list[float] = math.pi / 4,
     phase-maximized GHZ fidelity is reported.  Per-detector probability is
     sin^2(alpha) cos^2(alpha); the total is twice that.
 
-    Given a list of angles, evaluates them as batches through the same
-    kernels and returns a :class:`GhzSweep`, whose values are bit-identical
-    to those of one-angle runs.
+    Given a list of angles, runs them as batches through the same
+    ``Pipeline.run`` and returns a :class:`GhzSweep`, whose values are
+    bit-identical to those of one-angle runs.
     """
+    pipeline = _shipped("ghz")
     if isinstance(alpha, list):
-        return _ghz_sweep(alpha, convention)
-    batch = _ghz_batch(alpha, convention)
-    outcomes = [HeraldOutcome(*branch) for branch in batch.branches]
+        return _ghz_sweep(pipeline, alpha, convention)
+    run = pipeline.run(convention, alpha)
+    (report,) = pipeline.reports
+    branch_paths = {m.path for m in report.branch_a + report.branch_b}
+    per_detector = dict.fromkeys(pipeline.herald.paths(), 0.0)
     heralded_states: dict[str, StateVector] = {}
     metrics: dict[str, float] = {}
-    for o in outcomes:
+    for o in run.outcomes:
         if o.accepted:
             fired = _fired(o.pattern)
-            heralded_states[fired] = as_state(restrict_to_paths(o.rows, GHZ_BRANCH_PATHS))
-            o.metrics["ghz_fidelity"] = metrics[f"ghz_fidelity[{fired}]"] = (
-                batch.fidelity[fired].item())
-    success = batch.success.item()
-    metrics["total_probability"] = success
-
-    valid = check_bandwidth(BandwidthCheck(
-        sigma_pump=1.0, filter_sigmas=tuple(f.sigma for f in GHZ_FILTERS)
-    ))
+            per_detector[fired] = o.probability
+            heralded_states[fired] = as_state(restrict_to_paths(o.rows, branch_paths))
+            metrics[f"ghz_fidelity[{fired}]"] = o.metrics["ghz_fidelity"]
+    metrics["total_probability"] = run.success_probability
     return GhzResult(
         alpha=alpha,
         convention=convention,
-        outcomes=outcomes,
-        success_probability=success,
-        per_detector={k: v.item() for k, v in batch.per_detector.items()},
+        outcomes=run.outcomes,
+        success_probability=run.success_probability,
+        per_detector=per_detector,
         heralded_states=heralded_states,
         metrics=metrics,
-        bandwidth_valid=valid,
+        bandwidth_valid=run.bandwidth_valid,
     )
 
 
-def _ghz_sweep(alphas: list[float], convention: Convention) -> GhzSweep:
-    """The GHZ scheme at every angle, evolved as batches (:func:`aomsim.engine.in_batches`).
+def _ghz_sweep(pipeline, alphas: list[float], convention: Convention) -> GhzSweep:
+    """The GHZ scheme at every angle, run as batches (:func:`aomsim.engine.in_batches`).
 
-    The angles go through the kernels all at once where they share their
-    rows and fit the engine's term budget, else in the groups and chunks
-    that the kernels split them into.
+    The angles go through ``Pipeline.run`` all at once where they share
+    their rows and fit the engine's term budget, else in the groups and
+    chunks that the kernels split them into.
     """
-    def evolve(index: np.ndarray):
-        batch = _ghz_batch([alphas[i] for i in index.tolist()], convention)
-        least = np.min(list(batch.fidelity.values()) or [np.zeros(len(index))], axis=0)
-        return np.column_stack((batch.per_detector["T"], batch.per_detector["T'"],
-                                batch.success, least)).tolist()
+    detectors = pipeline.herald.paths()
 
+    def evolve(index: np.ndarray):
+        run = pipeline.run(convention, [alphas[i] for i in index.tolist()])
+        none = [0.0] * len(index)
+        per_detector = dict.fromkeys(detectors, none)
+        fidelities = []
+        for o in run.outcomes:
+            if o.accepted:
+                per_detector[_fired(o.pattern)] = o.probability
+                fidelities.append(o.metrics["ghz_fidelity"])
+        table = np.array([*per_detector.values(), run.success_probability, *(fidelities or [none])])
+        table[columns - 1] = table[columns - 1:].min(axis=0)  # the least fidelity
+        return table[:columns].T.tolist()
+
+    columns = len(detectors) + 2
     rows = engine.in_batches(evolve, len(alphas)) if alphas else []
-    per_t, per_t_prime, success, least = np.array(rows, dtype=float).reshape(-1, 4).T
-    return GhzSweep(alphas, convention, {"T": per_t, "T'": per_t_prime}, success, least)
+    *per_detector, success, least = np.array(rows, dtype=float).reshape(-1, columns).T
+    return GhzSweep(alphas, convention, dict(zip(detectors, per_detector)), success, least)

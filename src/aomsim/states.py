@@ -328,6 +328,8 @@ def kets(modes: tuple[ModeLabel, ...], occ: np.ndarray) -> list[FockKet]:
 
 def as_state(a: ArrayState) -> StateVector:
     """The array state as a :class:`StateVector`, terms in row order, zeros dropped."""
+    if a.amp.ndim > 1:
+        raise ValueError("a batch of states has no single StateVector; read its rows")
     keep = engine._nonzero(a.amp)
     occ, amp = (a.occ, a.amp) if keep.all() else (a.occ[keep], a.amp[keep])
     return StateVector._nonzero(dict(zip(kets(a.modes, occ), amp.tolist())), a.non_unitary)

@@ -6,7 +6,6 @@ or in captured output on failure) and asserts the same condition.
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -15,22 +14,29 @@ from aomsim import (
     Convention,
     HeraldRule,
     apply_element,
-    compile_circuit,
     dense_oracle_apply,
     ket,
     make_aom,
     make_source,
-    parse,
     post_select,
     run_ghz,
     run_swap,
     tensor,
 )
 from aomsim.cli import main
-from aomsim.experiments import swap_sources
-from conftest import M, max_amplitude_dev, random_circuit, random_state
+from conftest import (
+    M,
+    ghz_aom,
+    max_amplitude_dev,
+    outcome_bits,
+    random_circuit,
+    random_state,
+    reference_ghz,
+    reference_swap,
+    swap_aoms,
+    swap_sources,
+)
 
-CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 CONVENTIONS = (Convention.UNITARY, Convention.PAPER_LITERAL)
 ALPHA_GRID = [i * (math.pi / 2) / 32 for i in range(33)]
 
@@ -162,15 +168,11 @@ def test_criterion_10_post_selection_completeness():
         s1, s2 = swap_sources(math.pi / 4)
         state = tensor(make_source(s1), make_source(s2))
         completeness(state, HeraldRule([({"2", "3"}, 1)]))
-        state = apply_element(state, make_aom(AomSpec(
-            "AOM1", M("2", 1), M("3", 0), "T1", "T1'", phase_convention=convention)))
-        state = apply_element(state, make_aom(AomSpec(
-            "AOM2", M("3'", 1), M("2'", 0), "T2'", "T2", phase_convention=convention)))
+        for spec in swap_aoms(convention):
+            state = apply_element(state, make_aom(spec))
         completeness(state, swap_rule)
         completeness(apply_element(
-            tensor(make_source(s1), make_source(s2)),
-            make_aom(AomSpec("AOM", M("2", 1), M("3", 0), "T'", "T",
-                             phase_convention=convention))),
+            tensor(make_source(s1), make_source(s2)), make_aom(ghz_aom(convention))),
             ghz_rule)
     completeness(ket([M("a", 0)]), HeraldRule([({"a"}, 7)]))
     for _ in range(50):
@@ -183,23 +185,36 @@ def test_criterion_10_post_selection_completeness():
 
 
 def test_criterion_11_dsl_matches_programmatic_runs():
-    worst = 0.0
-    labels_ok = True
-    for name, reference in (("swap.qc", run_swap()), ("ghz.qc", run_ghz())):
-        ast = parse((CIRCUITS / name).read_text())
-        assert not isinstance(ast, list)
-        result = compile_circuit(ast).run()
-        labels_ok = labels_ok and (
-            [o.label for o in result.outcomes] == [o.label for o in reference.outcomes])
-        for got, want in zip(result.outcomes, reference.outcomes):
-            worst = max(worst, abs(got.probability - want.probability))
-            if got.conditional_state is None or want.conditional_state is None:
-                labels_ok = labels_ok and got.conditional_state is want.conditional_state
-                continue
-            worst = max(worst, max_amplitude_dev(got.conditional_state,
-                                                 want.conditional_state))
-    check(11, "circuit files reproduce programmatic runs",
-          labels_ok and worst <= 1e-15, f"max deviation {worst:.3e}")
+    """run_swap and run_ghz compile the shipped circuits; the reference wires them by hand.
+
+    Bit for bit: labels, ``repr`` of every probability and metric, and the
+    bytes of every outcome state's rows; the batch ``run_ghz([...])`` member
+    by member against one-angle reference runs.
+    """
+    runs, mismatches = 0, []
+    for convention in CONVENTIONS:
+        for alpha in (math.pi / 4, 0.6, 0.0, 1e-200):
+            for run, reference in ((run_swap, reference_swap), (run_ghz, reference_ghz)):
+                got, (outcomes, success) = run(alpha, convention), reference(alpha, convention)
+                runs += 1
+                if ([outcome_bits(o) for o in got.outcomes] != [outcome_bits(o) for o in outcomes]
+                        or repr(got.success_probability) != repr(success)):
+                    mismatches.append(f"{run.__name__}({alpha!r}, {convention.value})")
+        alphas = ALPHA_GRID + [0.6, 1e-200, -0.0, 1e10]
+        sweep = run_ghz(alphas, convention)
+        for i, alpha in enumerate(alphas):
+            outcomes, success = reference_ghz(alpha, convention)
+            accepted = {o.pattern: o for o in outcomes if o.accepted}
+            per_t = [o.probability for o in accepted.values() if dict(o.pattern)["T"] == 1]
+            least = min((o.metrics["ghz_fidelity"] for o in accepted.values()), default=0.0)
+            want = (per_t[0] if per_t else 0.0, success, least)
+            got = (sweep.per_detector["T"][i].item(), sweep.success_probability[i].item(),
+                   sweep.fidelity[i].item())
+            runs += 1
+            if repr(got) != repr(want):
+                mismatches.append(f"run_ghz batch member {alpha!r} ({convention.value})")
+    check(11, "shipped circuits reproduce the hand-wired schemes bit for bit",
+          not mismatches, f"{runs} runs, mismatches: {mismatches[:3]}")
 
 
 def test_criterion_12_json_reports_are_deterministic(tmp_path, capsys):

@@ -115,6 +115,14 @@ def test_demo_ghz_alpha_zero(capsys):
     assert "total heralded probability: 0.000000" in out
 
 
+def test_demo_ghz_alpha_zero_reports_float_zeros(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["demo", "ghz", "--alpha", "0", "--json", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert '"total_probability":0.0' in text and '"success_probability":0.0' in text
+
+
 def test_demo_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["demo", "teleport"])

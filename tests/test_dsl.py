@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from aomsim import CompileError, Convention, compile_circuit, format_circuit, parse
 from aomsim.cli import main
+from aomsim.engine import BatchSplit
 from aomsim.dsl import (
     AomStmt,
     CheckStmt,
@@ -22,6 +25,7 @@ from aomsim.dsl import (
     SourceStmt,
 )
 from aomsim.states import ModeLabel
+from conftest import outcome_bits
 
 M = ModeLabel
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -356,6 +360,68 @@ def test_pipeline_without_sources_raises_at_run():
     pipeline = compile_circuit(parse_ok("# nothing\n"))
     with pytest.raises(ZeroStateError):
         pipeline.run()
+
+
+def test_shipped_circuits_equal_the_circuit_files():
+    # run_swap and run_ghz read the copies shipped inside the package
+    for name in ("swap.qc", "ghz.qc"):
+        shipped = resources.files("aomsim") / "circuits" / name
+        assert shipped.read_bytes() == (CIRCUITS / name).read_bytes()
+
+
+def test_run_alpha_gives_every_source_that_angle():
+    with_angle = "".join(line + " alpha=0.6\n" if line.startswith("source") else line + "\n"
+                         for line in SWAP_TEXT.splitlines())
+    for convention in Convention:
+        got = compile_circuit(parse_ok(SWAP_TEXT)).run(convention, 0.6)
+        want = compile_circuit(parse_ok(with_angle)).run(convention)
+        assert [outcome_bits(o) for o in got.outcomes] == [outcome_bits(o) for o in want.outcomes]
+        assert repr(got.success_probability) == repr(want.success_probability)
+
+
+def test_batch_run_matches_one_angle_runs_member_by_member():
+    pipeline = compile_circuit(parse_ok(GHZ_TEXT))
+    alphas = [0.1, 0.6, math.pi / 4, 1.2, 1e-100]
+    for convention in Convention:
+        batch = pipeline.run(convention, alphas)
+        assert len(batch.success_probability) == len(alphas)
+        for i, alpha in enumerate(alphas):
+            one = pipeline.run(convention, alpha)
+            assert [o.label for o in batch.outcomes] == [o.label for o in one.outcomes]
+            for got, want in zip(batch.outcomes, one.outcomes):
+                assert repr(got.probability[i]) == repr(want.probability)
+                assert got.rows.amp[i].tobytes() == want.rows.amp.tobytes()
+                if want.accepted:
+                    assert repr(got.metrics["ghz_fidelity"][i]) == repr(
+                        want.metrics["ghz_fidelity"])
+            assert repr(batch.success_probability[i]) == repr(one.success_probability)
+            assert {k: v[i] for k, v in batch.filter_survivals.items()} == one.filter_survivals
+    with pytest.raises(ValueError, match="batch"):  # a batch's outcomes hold rows, not kets
+        batch.outcomes[0].conditional_state
+    with pytest.raises(BatchSplit):  # sin(0) = 0 drops a source row that the others keep
+        pipeline.run(alpha=[0.6, 0.0])
+
+
+@pytest.mark.parametrize("report", ["report entropy split=(1,1')", "report outcomes paths=(T,T')"])
+def test_batch_run_refuses_per_state_reports(report):
+    pipeline = compile_circuit(parse_ok(GHZ_TEXT + report + "\n"))
+    with pytest.raises(ValueError, match="batch"):
+        pipeline.run(alpha=[0.3, 0.4])
+
+
+def test_success_is_a_float_when_no_herald_is_accepted(tmp_path, capsys):
+    circuit = tmp_path / "dark.qc"
+    circuit.write_text("source S1 arms=(1@0,2@1) alt=(1'@1,2'@0) alpha=0\n"
+                       "source S2 arms=(3@0,4@1) alt=(3'@1,4'@0) alpha=0\n"
+                       "aom A in=(2@1,3@0) out=(T',T)\n"
+                       "herald count(T,T')==1\n")
+    assert repr(compile_circuit(parse_ok(circuit.read_text())).run().success_probability) == "0.0"
+    out = tmp_path / "dark.json"
+    assert main(["run", str(circuit), "--json", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert [repr(report["success_probability"]), repr(report["metrics"]["success_probability"])
+            ] == ["0.0", "0.0"]
 
 
 def test_report_outcomes_distribution():

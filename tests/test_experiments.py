@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aomsim import (
-    AomSpec,
     Convention,
     FockKet,
     HeraldRule,
@@ -25,8 +24,7 @@ from aomsim import (
     run_swap,
     tensor,
 )
-from aomsim.experiments import GHZ_BRANCH_A, GHZ_BRANCH_B, swap_sources
-from conftest import M, random_state
+from conftest import GHZ_BRANCH_A, GHZ_BRANCH_B, M, ghz_aom, random_state, swap_aoms, swap_sources
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -34,17 +32,15 @@ SQ2 = 1 / math.sqrt(2)
 def swap_evolved(convention=Convention.UNITARY, alpha=math.pi / 4) -> StateVector:
     s1, s2 = swap_sources(alpha)
     state = tensor(make_source(s1), make_source(s2))
-    state = apply_element(state, make_aom(
-        AomSpec("AOM1", M("2", 1), M("3", 0), "T1", "T1'", phase_convention=convention)))
-    return apply_element(state, make_aom(
-        AomSpec("AOM2", M("3'", 1), M("2'", 0), "T2'", "T2", phase_convention=convention)))
+    for spec in swap_aoms(convention):
+        state = apply_element(state, make_aom(spec))
+    return state
 
 
 def ghz_evolved(convention=Convention.UNITARY, alpha=math.pi / 4) -> StateVector:
     s1, s2 = swap_sources(alpha)
     state = tensor(make_source(s1), make_source(s2))
-    return apply_element(state, make_aom(
-        AomSpec("AOM", M("2", 1), M("3", 0), "T'", "T", phase_convention=convention)))
+    return apply_element(state, make_aom(ghz_aom(convention)))
 
 
 # ---------------------------------------------------------------- post_select
@@ -271,7 +267,7 @@ def test_ghz_alpha_law_crosschecked_by_dense_oracle():
     for alpha in (0.3, 0.9, math.pi / 4):
         s1, s2 = swap_sources(alpha)
         prod = tensor(make_source(s1), make_source(s2))
-        op = make_aom(AomSpec("AOM", M("2", 1), M("3", 0), "T'", "T"))
+        op = make_aom(ghz_aom())
         evolved = dense_oracle_apply(prod, op)
         outcomes = post_select(evolved, HeraldRule([({"T", "T'"}, 1)]))
         expected = math.sin(alpha) ** 2 * math.cos(alpha) ** 2

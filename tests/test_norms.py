@@ -1,4 +1,5 @@
-"""Norms, herald probabilities and GHZ fidelities against an explicit left-to-right Python sum.
+"""Norms, herald and photon-count probabilities and GHZ fidelities against a left-to-right
+Python sum.
 
 The engine sums squared magnitudes with numpy (``np.hypot``,
 ``np.float_power``, ``np.add.accumulate``).  The references below do the
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aomsim import HeraldRule, NonFiniteError, engine
+from aomsim import FockKet, HeraldRule, NonFiniteError, engine, enumerate_outcomes
 from aomsim.engine import ArrayState
-from aomsim.experiments import GHZ_BRANCH_A, GHZ_BRANCH_B, _herald, _herald_plan
+from aomsim.experiments import _herald, _herald_plan
 from aomsim.states import StateVector, as_arrays, ghz_fidelity
-from conftest import M
+from conftest import GHZ_BRANCH_A, GHZ_BRANCH_B, M
 
 TINY = float(np.finfo(float).tiny)
 LARGEST = float(np.finfo(float).max)
@@ -180,3 +181,51 @@ def test_a_norm_that_is_not_finite_raises(values):
         engine.norm(np.array(values, dtype=complex))
     with pytest.raises(NonFiniteError):
         engine.norm(np.array([[0.6, 0.8], values[:1] * 2], dtype=complex))
+
+
+def reference_counts(totals: list[int], values: list[complex]) -> dict[int, float]:
+    """Photon-count probabilities as a Python loop: each count's squares added in row order."""
+    dist: dict[int, float] = {}
+    for c, a in zip(totals, values):
+        dist[c] = dist.get(c, 0.0) + square(abs(a))
+    return dict(sorted(dist.items()))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), terms=st.integers(0, 30),
+       values=st.lists(amplitude, min_size=30, max_size=30),
+       paths=st.sampled_from([{"x"}, {"x", "y"}, {"s", "z"}, {"s", "x", "y", "z"}, {"q"}]))
+@settings(max_examples=150, deadline=None)
+def test_count_distribution_matches_the_loop(seed, terms, values, paths):
+    modes = (M("s", 0), M("x", 0), M("y", 0), M("z", 0))
+    occ = random_rows(np.random.default_rng(seed), terms).reshape(terms, len(modes))
+    values = [a if a else complex(-0.0, 5e-324) for a in values[:terms]]  # rows stay nonzero
+    state = ArrayState(modes, occ, np.array(values, dtype=complex))
+    cols = [j for j, m in enumerate(modes) if m.path in paths]
+    want = reference_counts([sum(row[j] for j in cols) for row in occ.tolist()], values)
+    if all(math.isfinite(p) for p in want.values()):
+        got = engine.count_distribution(state, paths)
+        assert list(got) == list(want) and bits(list(got.values())) == bits(list(want.values()))
+    else:
+        with pytest.raises(NonFiniteError):
+            engine.count_distribution(state, paths)
+
+
+@pytest.mark.parametrize("terms", [8, 9, 257, 5000])
+def test_count_distribution_of_long_states_matches_the_loop(terms):
+    """Counts with many rows each, where a pairwise or blocked sum would round differently."""
+    modes = (M("s", 0), M("x", 0), M("y", 0), M("z", 0))
+    occ = np.array(list(np.ndindex(9, 9, 9, 9))[:terms], dtype=np.int8)
+    rng = np.random.default_rng(terms)
+    amp = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    amp *= 10.0 ** rng.integers(-3, 4, terms)
+    for paths in ({"q"}, {"x", "y"}, {"z"}):
+        cols = [j for j, m in enumerate(modes) if m.path in paths]
+        want = reference_counts(occ[:, cols].sum(axis=1).tolist(), amp.tolist())
+        got = engine.count_distribution(ArrayState(modes, occ, amp), paths)
+        assert list(got) == list(want) and bits(list(got.values())) == bits(list(want.values()))
+
+
+def test_a_count_probability_past_the_float_range_raises():
+    s = StateVector({FockKet({M("a", 0): 1}): 1e200, FockKet({M("a", 1): 1}): 3e199})
+    with pytest.raises(NonFiniteError):
+        enumerate_outcomes(s, {"a"})
