@@ -8,12 +8,12 @@ output (JSON reports, CSV sweeps) is deterministic: no timestamps, sorted
 keys, floats at 12 significant digits.
 
 A run report is encoded in one batch from the engine's rows of the outcome
-states (``HeraldOutcome.rows``), never from kets: the rows are put in ket
-order and grouped by outcome, each ``[path,bin,n]`` fragment and each
-distinct amplitude is encoded once, each outcome's head comes from one
-format string, and the compact text is assembled from small ``json.dumps``
-pieces with sorted keys.  ``--pretty`` re-indents that
-text; float reprs round-trip, so only whitespace changes.
+states (``HeraldOutcome.rows``), never from kets: the rows are read in the
+order the outcomes hold them, which is ket order (the herald orders them),
+each ``[path,bin,n]`` fragment and each distinct amplitude is encoded once,
+each outcome's head comes from one format string, and the compact text is
+assembled from small ``json.dumps`` pieces with sorted keys.  ``--pretty``
+re-indents that text; float reprs round-trip, so only whitespace changes.
 """
 
 from __future__ import annotations
@@ -95,54 +95,25 @@ def _fragment(mode, n: int) -> str:
     return f"[{_ENCODER.encode(mode[0])},{mode[1]},{n}]"
 
 
-# Up to this many rows, Python lists order and join a report's rows faster
-# than numpy, whose fixed cost per call then dominates.
-_FEW_ROWS = 32
-
-
-def _term_plan(occ: np.ndarray, modes: tuple, sizes: list[int]):
-    """Term order of outcome states' rows, and each term's ``modes`` text in that order.
-
-    ``occ`` holds the states' rows one after another, ``sizes[i]`` rows for
-    state ``i``; terms are listed state by state, in ket order within each.
-    """
-    if len(occ) > _FEW_ROWS:
-        order = engine.ket_order(occ)
-        order = order[np.argsort(np.repeat(np.arange(len(sizes)), sizes)[order], kind="stable")]
-        return order, map(",".join, row_pieces(modes, occ[order], _fragment))
-    # kets compare as their (mode, count) pairs, and columns are in mode order
-    pairs = [tuple((c, n) for c, n in enumerate(row) if n) for row in occ.tolist()]
-    outcome = [i for i, size in enumerate(sizes) for _ in range(size)]
-    order = sorted(range(len(pairs)), key=lambda i: (outcome[i], pairs[i]))
-    texts = {p: _fragment(modes[p[0]], p[1]) for p in set(itertools.chain(*pairs))}
-    return order, [",".join(map(texts.__getitem__, pairs[i])) for i in order]
-
-
 def _terms_json(outcomes: list[HeraldOutcome]) -> list[str]:
-    """Every term of the outcome states as text, outcome after outcome, in ket order within each.
+    """Every term of the outcome states as text, outcome after outcome, each in its rows' order.
 
-    The rows of all states are ordered and encoded in one batch, on shared
-    columns (the outcomes of one herald share theirs already).  Each term
-    starts with what precedes it in its state's list: ``[`` for the first
-    term, ``,`` for the others.  Amplitudes are rounded to 12 significant
-    digits.
+    The rows of all states are encoded in one batch, on shared columns (the
+    outcomes of one herald share theirs already), in the order the outcomes
+    hold them: ket order, as the herald lists them.  Each term starts with
+    what precedes it in its state's list: ``[`` for the first term, ``,``
+    for the others.  Amplitudes are rounded to 12 significant digits.
     """
     states = shared_columns([o.rows for o in outcomes if o.rows is not None])
     if not states:
         return []
-    modes = states[0].modes
-    sizes = [len(s.amp) for s in states]
-    order, mode_texts = _term_plan(np.concatenate([s.occ for s in states]), modes, sizes)
-    amp = np.concatenate([s.amp for s in states])[order]
-    leads = [","] * len(amp)
-    first = 0
-    for size in sizes:
-        if size:
-            leads[first] = "["
-        first += size
+    occ = np.concatenate([s.occ for s in states])
+    amp = np.concatenate([s.amp for s in states])
+    # each term's lead, one character per term
+    leads = "".join("[" + "," * (len(s.amp) - 1) for s in states if len(s.amp))
     return [f'{lead}{{"im":{im},"modes":[{m}],"re":{re}}}'
             for lead, re, im, m in zip(leads, _floats_json(amp.real), _floats_json(amp.imag),
-                                       mode_texts)]
+                                       map(",".join, row_pieces(states[0].modes, occ, _fragment)))]
 
 
 def _outcomes_json(outcomes: list[HeraldOutcome]) -> list[str]:

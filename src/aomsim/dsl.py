@@ -560,12 +560,15 @@ class Pipeline:
             bandwidth_valid = check_bandwidth(
                 BandwidthCheck(self.pump_sigma, tuple(filter_sigmas))
             )
-        if self.herald is None:
+        if self.herald is None:  # one outcome, its rows in ket order as a herald lists them
+            by_ket = engine.ket_order(state.occ)
             outcomes = [
                 HeraldOutcome(
                     label="all",
                     probability=engine.squared(engine.norm(state.amp)),
-                    conditional_state=state,
+                    conditional_state=engine.ArrayState(
+                        state.modes, state.occ[by_ket], engine.select(state.amp, by_ket),
+                        state.non_unitary),
                     accepted=True,
                 )
             ]

@@ -743,21 +743,20 @@ def herald_groups(occ: np.ndarray, modes: tuple, paths: tuple[str, ...], clauses
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows grouped by their photon-count pattern over ``paths``.
 
-    Returns ``(order, patterns, sizes, accepted)`` per group, groups in
-    sorted pattern order: ``order`` lists the rows group by group, in ket
-    order within each; a pattern is accepted iff every ``(clause paths,
+    Returns ``(by_ket, ids, patterns, sizes, accepted)``: ``by_ket`` lists
+    the rows in ket order (:func:`ket_order`) and ``ids`` gives each row's
+    group; ``patterns``, ``sizes`` and ``accepted`` are per group, groups in
+    sorted pattern order.  A pattern is accepted iff every ``(clause paths,
     count)`` total matches.
     """
     counts = _path_counts(occ, modes, paths)
     ids, first = _group(counts)
-    by_ket = ket_order(occ)
-    order = by_ket[np.argsort(ids[by_ket], kind="stable")]
     patterns = counts[first]
     index = {p: i for i, p in enumerate(paths)}
     accepted = np.ones(len(first), dtype=bool)
     for clause_paths, required in clauses:
         accepted &= patterns[:, [index[p] for p in clause_paths]].sum(axis=1) == required
-    return order, patterns, np.bincount(ids, minlength=len(first)), accepted
+    return ket_order(occ), ids, patterns, np.bincount(ids, minlength=len(first)), accepted
 
 
 def count_distribution(state: ArrayState, paths) -> dict[int, float]:

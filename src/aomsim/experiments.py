@@ -103,7 +103,10 @@ class HeraldOutcome:
     engine's rows (an :class:`ArrayState`), and is ``None`` for an empty
     discard bucket.  It is held once, as rows: ``rows`` is that
     :class:`ArrayState`, and ``conditional_state`` its :class:`StateVector`,
-    built on first read unless it was given.  Both are read-only.
+    built on first read unless it was given.  Both are read-only.  The rows
+    of a given :class:`StateVector` are put in ket order; an
+    :class:`ArrayState` is taken in its own order, which for a herald's
+    outcomes is ket order, the order a run report lists the terms in.
     """
 
     label: str
@@ -119,8 +122,12 @@ class HeraldOutcome:
         self.label, self.probability = label, probability
         self.accepted, self.pattern = accepted, pattern
         self.metrics = {} if metrics is None else metrics
-        self._rows = None if conditional_state is None else as_arrays(conditional_state)
+        rows = None if conditional_state is None else as_arrays(conditional_state)
         self._state = conditional_state if isinstance(conditional_state, StateVector) else None
+        if self._state is not None:  # its rows in ket order, as a herald lists them
+            by_ket = engine.ket_order(rows.occ)
+            rows = ArrayState(rows.modes, rows.occ[by_ket], rows.amp[by_ket], rows.non_unitary)
+        self._rows = rows
 
     @property
     def rows(self) -> ArrayState | None:
@@ -170,19 +177,26 @@ def _pattern_labels(paths: tuple[str, ...], patterns: list[list[int]]) -> list[s
 
 @engine.memo_small
 def _herald_plan(occ, modes: tuple, rule: HeraldRule):
-    """Row order and outcomes of a herald: ``(order, sizes, [(label, pattern, accepted)])``.
+    """Row orders and outcomes of a herald: ``(order, summed, sizes, outcomes)``.
 
     ``order`` lists the state's rows outcome by outcome, in ket order within
-    each, and ``sizes`` counts them.  The discard bucket comes last, made of
-    the rejected patterns in pattern order, unless the rule keeps them apart.
+    each, ``sizes`` counts them and ``outcomes`` holds each one's ``(label,
+    pattern, accepted)``.  The discard bucket comes last, made of
+    the rejected patterns, unless the rule keeps them apart.  ``summed`` is
+    the order the outcomes' norms are summed in: the same, except that the
+    bucket lists its rows pattern by pattern, patterns in sorted order.
     """
     paths = rule.paths()
-    order, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
+    by_ket, ids, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
     shown = accepted if rule.discard_complement else np.ones(len(sizes), dtype=bool)
     groups = np.flatnonzero(accepted).tolist() + np.flatnonzero(~accepted & shown).tolist()
     rank = np.full(len(sizes), len(groups))  # the discard bucket's groups rank last
     rank[groups] = np.arange(len(groups))
-    order = order[np.argsort(np.repeat(rank, sizes), kind="stable")]
+    group = ids[by_ket]
+    order = by_ket[np.argsort(rank[group], kind="stable")]
+    # to sum norms in: the same ranks, but the bucket's groups one after another
+    pattern_rank = np.where(rank == len(groups), len(groups) + np.arange(len(sizes)), rank)
+    summed = by_ket[np.argsort(pattern_rank[group], kind="stable")]
     shown_patterns = patterns[groups].tolist()
     outcomes = [(label, tuple(zip(paths, pattern)), is_accepted) for label, pattern, is_accepted
                 in zip(_pattern_labels(paths, shown_patterns), shown_patterns,
@@ -191,7 +205,7 @@ def _herald_plan(occ, modes: tuple, rule: HeraldRule):
     if rule.discard_complement:
         outcomes.append(("discard", None, False))
         counts.append(int(sizes[~accepted].sum()))
-    return order, counts, outcomes
+    return order, summed, counts, outcomes
 
 
 def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
@@ -200,14 +214,15 @@ def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
     One ``(label, probability, rows, accepted, pattern)`` per outcome, the
     arguments of :class:`HeraldOutcome`: ``probability`` is a list with one
     per member for a batch, and ``rows`` the normalized conditional state
-    (None for an empty discard bucket).  The outcomes' norms are taken at
-    once (:func:`aomsim.engine.span_norms`), each over its own rows, and
-    every row is rescaled in one product.
+    (None for an empty discard bucket), in ket order.  The outcomes' norms
+    are taken at once (:func:`aomsim.engine.span_norms`), each over its own
+    rows, the discard bucket's pattern by pattern, and every row is
+    rescaled in one product.
     """
-    order, sizes, plan = _herald_plan(state.occ, state.modes, rule)
+    order, summed, sizes, plan = _herald_plan(state.occ, state.modes, rule)
     occ, amp = state.occ[order], engine.select(state.amp, order)
     bounds = np.cumsum([0] + sizes).tolist()
-    norms = engine.span_norms(amp, sizes)
+    norms = engine.span_norms(engine.select(state.amp, summed), sizes)
     unit = engine.unit(amp, np.repeat(norms, sizes, axis=-1))  # by each row's norm
     if np.count_nonzero(unit) < unit.size:  # a tiny amplitude underflowed to 0
         keep = engine.kept_rows(unit)
@@ -229,8 +244,9 @@ def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOut
 
     Returns one outcome per satisfying pattern (sorted by pattern) followed
     by the rejected remainder; probabilities over the full list sum to 1.
-    Each outcome's terms are in ket order, and the discard bucket holds the
-    rejected patterns in pattern order.  Takes one state, not a batch.
+    Each outcome's terms are in ket order, the discard bucket's too; the
+    bucket's norm is summed over its rejected patterns in pattern order.
+    Takes one state, not a batch.
     """
     state = as_arrays(s)
     if state.amp.ndim > 1:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import engine
 from .engine import ArrayState
-from .errors import CapExceededError, ZeroStateError
+from .errors import CapExceededError, NonFiniteError, ZeroStateError
 
 __all__ = [
     "ModeLabel",
@@ -170,7 +170,8 @@ class FockKet:
 class StateVector:
     """Sparse state: map from :class:`FockKet` to complex amplitude.
 
-    Exact zeros are dropped at construction time.  ``non_unitary`` marks
+    Exact zeros are dropped at construction time, and a NaN part raises
+    :class:`NonFiniteError`.  ``non_unitary`` marks
     states whose history includes a renormalizing (non-isometric) element
     application; the flag is sticky through later operations that preserve
     it explicitly.
@@ -180,7 +181,10 @@ class StateVector:
     non_unitary: bool = False
 
     def __post_init__(self):
-        self.terms = {k: c for k, a in self.terms.items() if abs(c := complex(a)) > 0.0}
+        terms = {k: complex(a) for k, a in self.terms.items()}
+        if any(c != c for c in terms.values()):  # only NaN compares unequal to itself
+            raise NonFiniteError("an amplitude is NaN")
+        self.terms = {k: c for k, c in terms.items() if c}
 
     @classmethod
     def _nonzero(cls, terms: dict[FockKet, complex], non_unitary: bool) -> StateVector:
@@ -491,10 +495,14 @@ def ghz_fidelity(s: StateVector | ArrayState, branch_a: FockKet, branch_b: FockK
     Phase-insensitive by construction; the maximum over phi has the closed
     form (|<a|s>| + |<b|s>|)^2 / 2, which this returns, with the bits of
     Python's ``(abs(a) + abs(b)) ** 2 / 2.0``.  A batch of array states gets
-    a list with each member's fidelity.
+    a list with each member's fidelity.  Raises :class:`NonFiniteError` if
+    a fidelity is not a finite number, as when a magnitude passes the
+    square root of the largest float (an unnormalised state).
     """
     if branch_a == branch_b:
         raise ValueError("branch kets must differ")
     s = as_arrays(s)
     total = _magnitudes_of(s, branch_a) + _magnitudes_of(s, branch_b)
+    if not total.max(initial=0.0) <= engine._LARGEST_ROOT:  # also NaN: the square is not finite
+        raise NonFiniteError("a GHZ fidelity is not a finite number")
     return (np.float_power(total, 2.0) / 2.0).tolist()

@@ -296,42 +296,6 @@ def test_compile_rejects_output_path_reuse_in_programmatic_ast():
     assert "already declared" in str(exc.value)
 
 
-def test_compiled_swap_matches_programmatic_run_exactly():
-    from aomsim import run_swap
-
-    pipeline = compile_circuit(parse_ok(SWAP_TEXT))
-    result = pipeline.run()
-    reference = run_swap()
-    assert result.success_probability == reference.success_probability
-    assert len(result.outcomes) == len(reference.outcomes)
-    for got, want in zip(result.outcomes, reference.outcomes):
-        assert got.label == want.label
-        assert got.probability == want.probability
-        if want.conditional_state is None:
-            assert got.conditional_state is None
-            continue
-        keys = set(got.conditional_state.terms) | set(want.conditional_state.terms)
-        for k in keys:
-            assert abs(got.conditional_state.amplitude(k)
-                       - want.conditional_state.amplitude(k)) <= 1e-15
-
-
-def test_compiled_ghz_matches_programmatic_run_exactly():
-    from aomsim import run_ghz
-
-    pipeline = compile_circuit(parse_ok(GHZ_TEXT))
-    result = pipeline.run()
-    reference = run_ghz()
-    assert result.success_probability == reference.success_probability
-    assert result.bandwidth_valid is True
-    for got, want in zip(result.outcomes, reference.outcomes):
-        assert got.label == want.label
-        assert got.probability == want.probability
-        if got.accepted:
-            assert got.metrics["ghz_fidelity"] == pytest.approx(
-                want.metrics["ghz_fidelity"], abs=1e-15)
-
-
 def test_convention_override_changes_phases_not_magnitudes():
     pipeline = compile_circuit(parse_ok(SWAP_TEXT))
     unitary = pipeline.run(convention_override=Convention.UNITARY)

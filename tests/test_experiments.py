@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from aomsim import (
     Convention,
     FockKet,
+    HeraldOutcome,
     HeraldRule,
+    SourceSpec,
     StateVector,
+    engine,
     apply_element,
     enumerate_outcomes,
     entanglement_entropy,
@@ -24,7 +27,12 @@ from aomsim import (
     run_swap,
     tensor,
 )
-from conftest import GHZ_BRANCH_A, GHZ_BRANCH_B, M, ghz_aom, random_state, swap_aoms, swap_sources
+from aomsim.dsl import Pipeline
+from aomsim.engine import ArrayState
+from aomsim.experiments import _herald
+from aomsim.states import as_arrays
+from conftest import (GHZ_BRANCH_A, GHZ_BRANCH_B, M, ghz_aom, random_circuit, random_state,
+                      swap_aoms, swap_sources)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -115,6 +123,37 @@ def test_post_select_probabilities_always_complete(seed, na, nb):
     rule = HeraldRule([({"a"}, na), ({"b"}, nb)])
     outcomes = post_select(s, rule)
     assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
+
+
+def assert_rows_in_ket_order(outcomes):
+    for o in outcomes:
+        if o.rows is not None:
+            assert engine.ket_order(o.rows.occ).tolist() == list(range(len(o.rows.occ))), o.label
+
+
+@given(seed=st.integers(0, 2**32 - 1), convention=st.sampled_from(list(Convention)),
+       discard=st.booleans(), alphas=st.lists(st.floats(0.1, 1.4), min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_every_outcome_lists_its_rows_in_ket_order(seed, convention, discard, alphas):
+    """The herald orders each outcome's rows, the discard bucket's too, and so does a run
+    without a herald: a run report lists the rows as the outcomes hold them."""
+    state, aoms = random_circuit(np.random.default_rng(seed), convention)
+    rule = HeraldRule([({aoms[-1].output_x, aoms[-1].output_y}, 1)], discard_complement=discard)
+    for spec in aoms:
+        state = apply_element(state, make_aom(spec))
+    final = as_arrays(state)
+    assert_rows_in_ket_order(post_select(final, rule))
+    batch = ArrayState(final.modes, final.occ, np.stack([final.amp, -1j * final.amp[::-1]]))
+    assert_rows_in_ket_order([HeraldOutcome(*branch) for branch in _herald(batch, rule)])
+
+    # the same AOMs fed by sources: one on the first AOM's inputs, one on a fresh path
+    sources = [SourceSpec("S1", (aoms[0].input_a, aoms[0].input_b), (M("p", 0), M("q", 1)))]
+    sources += [SourceSpec("S2", (m, M("e", 0)), (M("f", 1), M("g", 0)))
+                for a in aoms[1:] for m in (a.input_a, a.input_b) if m.path == "c"]
+    for herald in (rule, None):
+        pipeline = Pipeline(sources, aoms, herald, [], None)
+        for alpha in (alphas[0], alphas):
+            assert_rows_in_ket_order(pipeline.run(alpha=alpha).outcomes)
 
 
 # ---------------------------------------------------------------- enumerate_outcomes

@@ -23,7 +23,7 @@ from aomsim import (
     parse,
     post_select,
 )
-from aomsim import cli
+from aomsim import states
 from aomsim.cli import _report, _write_json
 from aomsim.engine import ArrayState
 from aomsim.states import as_arrays, as_state
@@ -60,9 +60,9 @@ def assert_encodes_like_reference(outcomes, tmp_path, bandwidth_valid=None, extr
     args = ("c.qc", Convention.UNITARY, outcomes, success, {"p": success}, bandwidth_valid,
             extra or {})
     want = reference_report(*args)
-    for few_rows in (0, 10 ** 9):  # every report through both row-ordering paths
+    for few_rows in (0, 10 ** 9):  # every report through both paths of row_pieces
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_FEW_ROWS", few_rows)
+            patch.setattr(states, "_FEW_ROWS", few_rows)
             text = _report(*args)
         assert text == json.dumps(want, sort_keys=True, separators=(",", ":"))
     _write_json(text, tmp_path / "pretty.json", pretty=True)
@@ -112,10 +112,11 @@ def test_empty_discard_bucket_has_null_state(tmp_path):
 
 def test_state_with_no_terms_is_an_empty_list(tmp_path):
     state, aoms = random_circuit(np.random.default_rng(2))
-    rows = as_arrays(evolve(state, aoms))
+    final = evolve(state, aoms)
+    rows = as_arrays(final)
     empty = ArrayState(rows.modes, rows.occ[:0], rows.amp[:0])
     outcomes = [HeraldOutcome(label="all", probability=0.0, conditional_state=empty, accepted=True),
-                HeraldOutcome(label="rest", probability=1.0, conditional_state=rows,
+                HeraldOutcome(label="rest", probability=1.0, conditional_state=final,
                                accepted=False)]
     want = assert_encodes_like_reference(outcomes, tmp_path)
     assert want["outcomes"][0]["state"] == [] and want["outcomes"][1]["state"]
@@ -135,8 +136,7 @@ def test_multi_photon_modes_and_negative_zero_amplitudes(tmp_path):
         FockKet({M("b", 0): 2, M("c", -1): 2}): complex(0.0, 0.64),
     })
     heralded = post_select(state, HeraldRule(((frozenset({"b"}), 1),)))
-    whole = HeraldOutcome(label="all", probability=1.0, conditional_state=as_arrays(state),
-                          accepted=True)
+    whole = HeraldOutcome(label="all", probability=1.0, conditional_state=state, accepted=True)
     for outcomes in (heralded, [whole]):
         text = json.dumps(assert_encodes_like_reference(outcomes, tmp_path))
         assert '"re": -0.0' in text and '"re": 0.0' in text

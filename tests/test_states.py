@@ -24,6 +24,8 @@ from aomsim import (
     reduced_density,
     tensor,
 )
+from aomsim.engine import ArrayState
+from aomsim.states import as_arrays
 from conftest import M, max_amplitude_dev, random_state
 
 SQ2 = 1 / math.sqrt(2)
@@ -255,6 +257,21 @@ def test_norm_past_the_largest_float_raises(amp):
         normalize(s)
 
 
+@pytest.mark.parametrize("nan", [math.nan, complex(math.nan, 1.0), complex(0.0, math.nan)])
+def test_a_nan_amplitude_raises_and_is_not_dropped(nan):
+    a, b = FockKet({M("a", 0): 1}), FockKet({M("b", 0): 1})
+    with pytest.raises(NonFiniteError):
+        StateVector({a: nan, b: 1.0})
+    with pytest.raises(NonFiniteError):
+        normalize(StateVector({a: nan}))
+
+
+def test_exact_zeros_are_still_dropped():
+    a, b = FockKet({M("a", 0): 1}), FockKet({M("b", 0): 1})
+    s = StateVector({a: complex(-0.0, 0.0), b: 5e-324, FockKet(): complex(0.0, -5e-324)})
+    assert list(s.terms) == [b, FockKet()]
+
+
 # ---------------------------------------------------------------- reductions
 
 
@@ -355,6 +372,18 @@ def test_ghz_fidelity_phase_insensitive():
 
 def test_ghz_fidelity_single_branch():
     assert ghz_fidelity(StateVector({A3: 1.0}), A3, B3) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("amp", [1e160, 7e153, math.inf, math.nan])
+def test_ghz_fidelity_that_is_not_finite_raises(amp):
+    """Past about 1.34e154 the closed form's square overflows; no warning, a typed error."""
+    assert ghz_fidelity(StateVector({A3: 6e153, B3: 6e153}), A3, B3) == (1.2e154) ** 2 / 2.0
+    with pytest.raises(NonFiniteError):
+        ghz_fidelity(StateVector({A3: amp, B3: 7e153}), A3, B3)
+    rows = as_arrays(StateVector({A3: 1.0, B3: 1.0}))
+    batch = ArrayState(rows.modes, rows.occ, np.array([[0.6, 0.8], [amp, 7e153]], dtype=complex))
+    with pytest.raises(NonFiniteError):
+        ghz_fidelity(batch, A3, B3)
 
 
 def test_ghz_fidelity_equal_branches_required():
