@@ -10,6 +10,7 @@ a dense verification oracle, and the circuit description language.
 from .errors import (
     CapExceededError,
     CompileError,
+    FactorizationError,
     NonFiniteError,
     OverlappingPathsError,
     SimulatorError,
@@ -69,6 +70,7 @@ __all__ = [
     "Convention",
     "DensityMatrix",
     "ElementOp",
+    "FactorizationError",
     "FilterSpec",
     "FockKet",
     "GhzResult",

@@ -27,6 +27,8 @@ run`` calls it on a file, and :func:`~aomsim.experiments.run_swap` and
 :func:`~aomsim.experiments.run_ghz` on the shipped ``circuits/swap.qc`` and
 ``circuits/ghz.qc``.  It can override every source's angle, and a list of
 angles runs as one batch through the engine, one amplitude row per angle.
+A circuit is lowered once per convention override; a run then only emits
+the sources, applies the steps, heralds and reports.
 """
 
 from __future__ import annotations
@@ -160,6 +162,14 @@ class ReportGhzStmt:
     branch_a: tuple[ModeLabel, ...]
     branch_b: tuple[ModeLabel, ...]
     line: int = field(default=0, compare=False)
+
+    @cached_property
+    def target(self) -> tuple[frozenset[str], FockKet, FockKet]:
+        """The paths of both branches and the two branch kets, which must differ."""
+        a, b = FockKet.from_modes(self.branch_a), FockKet.from_modes(self.branch_b)
+        if a == b:
+            raise ValueError("report ghz branches a and b are the same ket")
+        return frozenset(m.path for m in self.branch_a + self.branch_b), a, b
 
 
 @dataclass(frozen=True)
@@ -505,15 +515,28 @@ class PipelineResult:
         return as_state(self.final)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pipeline:
-    """Executable circuit lowered from an AST; ``run`` evolves and heralds."""
+    """Executable circuit lowered from an AST; ``run`` evolves and heralds.
 
-    sources: list[SourceSpec]
-    elements: list[AomSpec | FilterSpec]
+    The AOM ops and the mode closure are made once per convention override.
+    """
+
+    sources: tuple[SourceSpec, ...]
+    elements: tuple[AomSpec | FilterSpec, ...]
     herald: HeraldRule | None
-    reports: list[ReportEntropyStmt | ReportGhzStmt | ReportOutcomesStmt]
-    pump_sigma: float | None
+    reports: tuple[ReportEntropyStmt | ReportGhzStmt | ReportOutcomesStmt, ...]
+    bandwidth_valid: bool | None
+    _lowered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _steps(self, override: Convention | None):
+        """The mode closure and the ops and filters under ``override``, made on its first run."""
+        if override not in self._lowered:
+            steps = tuple(e if isinstance(e, FilterSpec) else make_aom(dataclasses.replace(
+                e, phase_convention=override or e.phase_convention)) for e in self.elements)
+            modes = circuit_modes(self.sources, [s for s in steps if isinstance(s, ElementOp)])
+            self._lowered[override] = modes, steps
+        return self._lowered[override]
 
     def run(self, convention_override: Convention | None = None,
             alpha: float | list[float] | None = None) -> PipelineResult:
@@ -534,32 +557,17 @@ class Pipeline:
         batch = isinstance(alpha, list)
         if batch and not all(isinstance(r, ReportGhzStmt) for r in self.reports):
             raise ValueError("a batch of angles supports only 'report ghz'")
-        steps: list[ElementOp | FilterSpec] = []
-        for element in self.elements:
-            if isinstance(element, AomSpec):
-                if convention_override is not None:
-                    element = dataclasses.replace(element, phase_convention=convention_override)
-                element = make_aom(element)
-            steps.append(element)
-        modes = circuit_modes(self.sources, [s for s in steps if isinstance(s, ElementOp)])
+        modes, steps = self._steps(convention_override)
         state: engine.ArrayState | None = None
         for spec in self.sources:
             emitted = make_source(spec, modes, alpha)
             state = emitted if state is None else tensor(state, emitted)
         filter_survivals: dict[str, float] = {}
-        filter_sigmas: list[float] = []
         for step in steps:
             if isinstance(step, ElementOp):
                 state = apply_element(state, step)
             else:
-                state, survived = apply_filter(state, step)
-                filter_survivals[step.path] = survived
-                filter_sigmas.append(step.sigma)
-        bandwidth_valid = None
-        if self.pump_sigma is not None:
-            bandwidth_valid = check_bandwidth(
-                BandwidthCheck(self.pump_sigma, tuple(filter_sigmas))
-            )
+                state, filter_survivals[step.path] = apply_filter(state, step)
         if self.herald is None:  # one outcome, its rows in ket order as a herald lists them
             by_ket = engine.ket_order(state.occ)
             outcomes = [
@@ -589,11 +597,10 @@ class Pipeline:
                 for outcome, entropy in zip(accepted, entropies):
                     outcome.metrics[key] = entropy
             elif isinstance(report, ReportGhzStmt):
-                branch_paths = {m.path for m in report.branch_a + report.branch_b}
-                a, b = FockKet.from_modes(report.branch_a), FockKet.from_modes(report.branch_b)
+                paths, a, b = report.target
                 for outcome in accepted:
                     outcome.metrics["ghz_fidelity"] = ghz_fidelity(
-                        restrict_to_paths(outcome.rows, branch_paths), a, b)
+                        restrict_to_paths(outcome.rows, paths), a, b)
         # from 0.0 in outcome order, per member for a batch: sum() would give the int 0
         # when nothing is accepted, and compensates from Python 3.12
         success = np.zeros(len(alpha)) if batch else 0.0
@@ -606,7 +613,7 @@ class Pipeline:
             final=state,
             count_distributions=count_distributions,
             filter_survivals=filter_survivals,
-            bandwidth_valid=bandwidth_valid,
+            bandwidth_valid=self.bandwidth_valid,
             non_unitary=state.non_unitary,
         )
 
@@ -615,10 +622,11 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
     """Lower an AST to a pipeline, validating element-level consistency.
 
     Raises :class:`CompileError` (with the statement's line) on AOM bin/shift
-    mismatches, reuse of a path by two declaring statements, or herald/report
-    references to undeclared paths.  Parse already enforces these for text
-    input; the compiler re-checks so programmatically built ASTs get the same
-    diagnostics.
+    mismatches, reuse of a path by two declaring statements, herald/report
+    references to undeclared paths, or a ``report ghz`` with equal branches.
+    Parse already enforces most of these for text input; the compiler
+    re-checks so programmatically built ASTs get the same diagnostics.  The
+    ``check bandwidth`` verdict is decided here, once.
     """
     sources: list[SourceSpec] = []
     elements: list[AomSpec | FilterSpec] = []
@@ -669,7 +677,7 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
                 if herald is None:
                     raise CompileError("report statements must follow the herald", stmt.line)
                 if isinstance(stmt, ReportGhzStmt):
-                    paths = [mode.path for mode in stmt.branch_a + stmt.branch_b]
+                    paths = sorted(stmt.target[0])
                 else:
                     paths = stmt.split if isinstance(stmt, ReportEntropyStmt) else stmt.paths
                 for p in paths:
@@ -679,10 +687,6 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
                 raise CompileError(f"unsupported statement type {type(stmt).__name__}")
         except (SpecInvariantError, ValueError) as exc:
             raise CompileError(str(exc), stmt.line) from exc
-    return Pipeline(
-        sources=sources,
-        elements=elements,
-        herald=herald,
-        reports=reports,
-        pump_sigma=pump,
-    )
+    sigmas = tuple(e.sigma for e in elements if isinstance(e, FilterSpec))
+    bandwidth_valid = None if pump is None else check_bandwidth(BandwidthCheck(pump, sigmas))
+    return Pipeline(tuple(sources), tuple(elements), herald, tuple(reports), bandwidth_valid)

@@ -106,6 +106,7 @@ MAX_OCCUPATION = int(np.iinfo(np.int8).max)
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 _LARGEST = float(np.finfo(float).max)
 _LARGEST_ROOT = math.sqrt(_LARGEST)  # the largest float whose square is finite
+_UP = 2.0 ** 600  # an exact power of two that lifts a subnormal norm's amplitudes to normal
 
 # Row plans of occupation matrices with at most this many rows are memoised
 # (see memo_small); the bound keeps the cached keys and plans small.
@@ -359,25 +360,44 @@ def squared(n: float | list[float] | np.ndarray) -> float | list[float]:
     return np.float_power(n, 2.0).tolist()
 
 
-def unit(amp: np.ndarray, n: float | list[float] | np.ndarray | None = None) -> np.ndarray:
+def _lifted(amp: np.ndarray) -> np.ndarray:
+    """``amp * _UP``, exactly: the real and imaginary parts are scaled on their own."""
+    out = np.empty(amp.shape, dtype=complex)
+    out.real, out.imag = amp.real * _UP, amp.imag * _UP
+    return out
+
+
+def _per_member(n: float | list[float] | np.ndarray):
+    """A list of norms, one per member of a batch, as a column that broadcasts over the terms."""
+    return np.array(n)[:, None] if isinstance(n, list) else n
+
+
+def unit(amp: np.ndarray, n: float | list[float] | np.ndarray | None = None,
+         norms=norm) -> np.ndarray:
     """``amp`` over its norm ``n``, as ``normalize`` rescales a ``StateVector``.
 
     ``n`` is one norm, a list with one per member of a batch, or an array
-    that broadcasts against ``amp`` (one norm per row, say).  Raises
-    :class:`ZeroStateError` if a norm is zero.  A norm below the smallest
-    normal float divides the amplitudes, since ``1 / n`` would overflow.
+    that broadcasts against ``amp`` (one norm per row, say), and ``norms``
+    takes it from amplitudes.  Raises :class:`ZeroStateError` if a norm is
+    zero.  A norm below the smallest normal float has lost its significant
+    bits, so there the amplitudes are scaled by an exact power of two and
+    divided by ``norms`` of the scaled amplitudes; only those are scaled.
     """
-    n = norm(amp) if n is None else n
+    n = norms(amp) if n is None else n
     if isinstance(n, float):  # one state: Python compares a float faster than numpy
         if not n:
             raise ZeroStateError("cannot normalize a zero state")
-        return _cmul(amp, 1.0 / n + 0j) if n >= _SMALLEST_NORMAL else _cdiv(amp, n)
-    if isinstance(n, list):  # one scale per member
-        n = np.array(n)[:, None]
+        if n >= _SMALLEST_NORMAL:
+            return _cmul(amp, 1.0 / n + 0j)
+        up = _lifted(amp)
+        return _cdiv(up, norms(up))
+    n = _per_member(n)
     if not n.all():
         raise ZeroStateError("cannot normalize a zero state")
-    if np.min(n, initial=math.inf) < _SMALLEST_NORMAL:  # 1 / n would overflow: divide by n
-        return np.where(n < _SMALLEST_NORMAL, _cdiv(amp, n),
+    if np.min(n, initial=math.inf) < _SMALLEST_NORMAL:  # 1 / n would overflow
+        tiny = n < _SMALLEST_NORMAL
+        up = _lifted(np.where(tiny, amp, 0j))  # the other members could overflow
+        return np.where(tiny, _cdiv(up, np.where(tiny, _per_member(norms(up)), 1.0)),
                         _cmul(amp, 1.0 / np.maximum(n, _SMALLEST_NORMAL) + 0j))
     return _cmul(amp, 1.0 / n + 0j)
 

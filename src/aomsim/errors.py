@@ -16,6 +16,11 @@ class NonFiniteError(SimulatorError):
     NaN, or the norm passes the largest float."""
 
 
+class FactorizationError(SimulatorError, ValueError):
+    """A state does not factor across a requested path split, so the paths
+    kept do not hold a pure state of their own."""
+
+
 class OverlappingPathsError(SimulatorError):
     """Tensor product operands share a path identifier."""
 

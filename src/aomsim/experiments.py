@@ -35,6 +35,7 @@ import numpy as np
 
 from . import engine
 from .engine import ArrayState
+from .errors import FactorizationError
 # apply_element, apply_filter, make_source, tensor and ghz_fidelity go unused here but stay
 # bound, since bench/tracing.py wraps each by name in this module
 from .elements import AomSpec, Convention, apply_element, apply_filter, make_source
@@ -217,13 +218,15 @@ def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
     (None for an empty discard bucket), in ket order.  The outcomes' norms
     are taken at once (:func:`aomsim.engine.span_norms`), each over its own
     rows, the discard bucket's pattern by pattern, and every row is
-    rescaled in one product.
+    rescaled in one product.  A norm below the smallest normal float is
+    taken again on its scaled rows (:func:`aomsim.engine.unit`), in ket order.
     """
     order, summed, sizes, plan = _herald_plan(state.occ, state.modes, rule)
     occ, amp = state.occ[order], engine.select(state.amp, order)
     bounds = np.cumsum([0] + sizes).tolist()
     norms = engine.span_norms(engine.select(state.amp, summed), sizes)
-    unit = engine.unit(amp, np.repeat(norms, sizes, axis=-1))  # by each row's norm
+    unit = engine.unit(amp, np.repeat(norms, sizes, axis=-1),  # by each row's norm
+                       lambda up: np.repeat(engine.span_norms(up, sizes), sizes, axis=-1))
     if np.count_nonzero(unit) < unit.size:  # a tiny amplitude underflowed to 0
         keep = engine.kept_rows(unit)
         unit, occ = engine.select(unit, keep), occ.compress(keep, axis=0)
@@ -265,7 +268,7 @@ def _restriction(occ, modes: tuple, keep: frozenset):
     kept = [m[0] in keep for m in modes]
     rest = occ[:, [not k for k in kept]]
     if (rest != rest[:1]).any():
-        raise ValueError("state does not factor across the requested path split")
+        raise FactorizationError("state does not factor across the requested path split")
     return tuple(m for m, k in zip(modes, kept) if k), occ[:, kept]
 
 
@@ -274,10 +277,11 @@ def restrict_to_paths(s: StateVector | ArrayState, keep: set[str] | frozenset[st
     """Drop modes outside ``keep`` when they form one common factor ket.
 
     Valid only when every term carries the identical occupation pattern on
-    the dropped paths (e.g. a resolved herald); raises ``ValueError``
-    otherwise, because the restriction would not be a pure state.  An
-    :class:`ArrayState` (also a batch) keeps its amplitudes and the columns
-    on ``keep``; a :class:`StateVector` is restricted on its rows.
+    the dropped paths (e.g. a resolved herald); raises
+    :class:`FactorizationError` (also a ``ValueError``) otherwise, because
+    the restriction would not be a pure state.  An :class:`ArrayState` (also
+    a batch) keeps its amplitudes and the columns on ``keep``; a
+    :class:`StateVector` is restricted on its rows.
     """
     if isinstance(s, StateVector):
         return as_state(restrict_to_paths(as_arrays(s), keep))
@@ -407,7 +411,6 @@ def run_ghz(alpha: float | list[float] = math.pi / 4,
         return _ghz_sweep(pipeline, alpha, convention)
     run = pipeline.run(convention, alpha)
     (report,) = pipeline.reports
-    branch_paths = {m.path for m in report.branch_a + report.branch_b}
     per_detector = dict.fromkeys(pipeline.herald.paths(), 0.0)
     heralded_states: dict[str, StateVector] = {}
     metrics: dict[str, float] = {}
@@ -415,7 +418,7 @@ def run_ghz(alpha: float | list[float] = math.pi / 4,
         if o.accepted:
             fired = _fired(o.pattern)
             per_detector[fired] = o.probability
-            heralded_states[fired] = as_state(restrict_to_paths(o.rows, branch_paths))
+            heralded_states[fired] = as_state(restrict_to_paths(o.rows, report.target[0]))
             metrics[f"ghz_fidelity[{fired}]"] = o.metrics["ghz_fidelity"]
     metrics["total_probability"] = run.success_probability
     return GhzResult(

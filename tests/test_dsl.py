@@ -296,6 +296,59 @@ def test_compile_rejects_output_path_reuse_in_programmatic_ast():
     assert "already declared" in str(exc.value)
 
 
+@pytest.mark.parametrize("a,b", [
+    ("(1@0,3'@1,4'@0)", "(1@0,3'@1,4'@0)"),
+    ("(1@0,1'@1,2'@0,3'@1,4@1,4'@0)", "(1@0,1'@1,2'@0,3'@1,4@1,4'@0)"),
+    ("(1@0,3'@1,4'@0)", "(4'@0,1@0,3'@1)"),  # the same ket, its modes in another order
+])
+def test_compile_rejects_equal_ghz_branches(a, b):
+    text = GHZ_TEXT.replace("report ghz a=(1@0,3'@1,4'@0) b=(1'@1,2'@0,4@1)",
+                            f"report ghz a={a} b={b}")
+    ast = parse_ok(text)
+    with pytest.raises(CompileError, match="same ket") as exc:
+        compile_circuit(ast)
+    assert exc.value.line == len(text.splitlines())
+    report = ReportGhzStmt(ast.statements[-1].branch_a, ast.statements[-1].branch_b)
+    with pytest.raises(CompileError, match="same ket"):  # a programmatic AST, without lines
+        compile_circuit(CircuitAst(ast.statements[:-1] + (report,)))
+
+
+def run_bits(result) -> tuple:
+    """A run as exact text and bytes: every outcome, probability and metric in order."""
+    return ([(outcome_bits(o), repr(o.metrics)) for o in result.outcomes],
+            repr(result.success_probability), repr(result.filter_survivals),
+            repr(result.count_distributions), result.bandwidth_valid, result.non_unitary)
+
+
+# A1 literal, A2 unitary: no override runs each AOM as a paper or unitary override would not
+MIXED_SWAP = SWAP_TEXT.replace("out=(T1,T1')", "out=(T1,T1') convention=paper")
+OVERRIDES = [None, Convention.PAPER_LITERAL, Convention.UNITARY, None, Convention.PAPER_LITERAL]
+
+
+@pytest.mark.parametrize("text,alpha", [
+    (MIXED_SWAP, None),
+    (MIXED_SWAP.replace("report entropy split=(1,1')", ""), [0.3, 0.6, 1.0]),
+    (GHZ_TEXT, 0.6),
+    (GHZ_TEXT, [0.1, 0.6, 1.2]),
+], ids=["swap", "swap-batch", "ghz", "ghz-batch"])
+def test_a_pipeline_is_lowered_once_per_convention_override(text, alpha, monkeypatch):
+    import aomsim.dsl
+
+    made = []
+    make_aom = aomsim.dsl.make_aom
+    monkeypatch.setattr(aomsim.dsl, "make_aom", lambda spec: made.append(spec) or make_aom(spec))
+    pipeline = compile_circuit(parse_ok(text))
+    aoms = text.count("\naom ")
+    for i, override in enumerate(OVERRIDES):
+        before = len(made)
+        got = run_bits(pipeline.run(override, alpha))
+        assert len(made) - before == (aoms if override not in OVERRIDES[:i] else 0), override
+        assert got == run_bits(compile_circuit(parse_ok(text)).run(override, alpha)), override
+    # the overrides give distinct runs, so a cache that ignored one would fail above
+    distinct = {repr(run_bits(pipeline.run(override, alpha))) for override in OVERRIDES}
+    assert len(distinct) == (3 if "convention=paper" in text else 2)
+
+
 def test_convention_override_changes_phases_not_magnitudes():
     pipeline = compile_circuit(parse_ok(SWAP_TEXT))
     unitary = pipeline.run(convention_override=Convention.UNITARY)

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from aomsim import (
     Convention,
+    FactorizationError,
     FockKet,
     HeraldOutcome,
     HeraldRule,
+    SimulatorError,
     SourceSpec,
     StateVector,
     engine,
@@ -204,6 +206,9 @@ def test_restrict_refuses_entangled_cut():
     }))
     with pytest.raises(ValueError):
         restrict_to_paths(s, {"1", "1'"})
+    with pytest.raises(FactorizationError) as exc:  # also a SimulatorError: a runtime error
+        restrict_to_paths(as_arrays(s), {"1", "1'"})
+    assert isinstance(exc.value, SimulatorError)
 
 
 # ---------------------------------------------------------------- run_swap
@@ -339,6 +344,20 @@ def test_ghz_alpha_zero_never_heralds():
     result = run_ghz(alpha=0.0)
     assert result.success_probability == pytest.approx(0.0, abs=1e-12)
     assert result.per_detector == {"T": 0.0, "T'": 0.0}
+
+
+SUBNORMAL_ANGLES = [5e-324, 1e-323, 1e-320, 1e-310]
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_ghz_fidelity_is_one_at_subnormal_angles(convention):
+    """Heralded states whose norms are subnormal are normalised all the same."""
+    for alpha in SUBNORMAL_ANGLES:
+        result = run_ghz(alpha, convention)
+        fidelities = [result.metrics[f"ghz_fidelity[{d}]"] for d in ("T", "T'")]
+        assert fidelities == pytest.approx([1.0, 1.0], abs=1e-12), alpha
+    sweep = run_ghz(SUBNORMAL_ANGLES, convention)
+    assert sweep.fidelity.tolist() == pytest.approx([1.0] * len(SUBNORMAL_ANGLES), abs=1e-12)
 
 
 def test_ghz_magnitudes_are_convention_independent():

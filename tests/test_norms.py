@@ -184,6 +184,18 @@ def test_wide_batch_ghz_fidelity_matches_the_loop():
     assert bits(got) == bits(want)
 
 
+@pytest.mark.parametrize("tiny", [5e-324, 1e-323, 1e-320, 1e-310])
+def test_subnormal_norms_in_a_batch_and_a_herald_normalise(tiny):
+    """Members and outcomes of subnormal norm come out of norm 1; huge ones are not rescaled."""
+    amp = np.array([[tiny, tiny * 1j, -tiny], [1e150, -1e150j, 1e150]])
+    unit = [engine.norm(member) for member in engine.unit(amp)]
+    assert unit == pytest.approx([1.0, 1.0], abs=1e-12)
+    modes = (M("s", 0), M("x", 0), M("y", 0))
+    occ = np.array([[1, 1, 0], [1, 0, 1], [2, 0, 0]], dtype=np.int8)
+    for _, _, rows, _, _ in _herald(ArrayState(modes, occ, amp), HeraldRule([({"x"}, 1)])):
+        assert [engine.norm(member) for member in rows.amp] == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
 @pytest.mark.parametrize("values", [[1.5e308, 1.5e308], [math.inf, 1.0], [math.nan, 1.0],
                                     [complex(1.0, math.inf)]])
 def test_a_norm_that_is_not_finite_raises(values):

@@ -236,6 +236,14 @@ def test_norm_and_normalize_of_a_tiny_nonzero_state(scale):
     assert abs(normalize(pair).amplitude(k)) == pytest.approx(0.6, rel=1e-3)
 
 
+@pytest.mark.parametrize("terms", [2, 3])
+@pytest.mark.parametrize("scale", [5e-324, 1e-323, 1e-320, 1e-310])
+def test_normalize_a_state_whose_norm_is_subnormal(scale, terms):
+    """A subnormal norm has lost significant bits; the state still normalises to norm 1."""
+    s = StateVector({FockKet({M(p, 0): 1}): scale for p in "abc"[:terms]})
+    assert normalize(s).norm() == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e300, 3e307])
 def test_norm_and_normalize_of_a_huge_state(scale):
     """Squares that overflow neither fail the norm nor the normalization."""
