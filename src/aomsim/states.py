@@ -443,12 +443,23 @@ def reduced_density(s: StateVector | ArrayState | list, keep_paths: set[str] | f
     return out if many else out[0]
 
 
+_EIGEN_TOL = 1e-14
+"""Eigenvalues of a density matrix this close to 0 or 1 are taken as exact.
+
+``np.linalg.eigvalsh`` is accurate to a few ulps of the largest eigenvalue
+(1 for a normalized state), which this bound covers with room to spare.
+"""
+
+
 def entanglement_entropy(s: StateVector | ArrayState | list, partition: set[str] | frozenset[str]
                          ) -> float | list[float]:
     """Von Neumann entropy, in bits, of the reduction onto ``partition``.
 
     For a pure state this measures entanglement across the cut
-    ``partition | complement``; 0 log 0 is taken as 0.  Given a list of
+    ``partition | complement``; 0 log 0 is taken as 0.  An eigenvalue
+    within ``_EIGEN_TOL`` of 0 or of 1 adds nothing, so a product state's
+    entropy is exactly 0, not the noise of ``eigvalsh``'s rounding, of
+    either sign; what is dropped is at most 4.7e-13.  Given a list of
     states, returns one entropy per state: their density matrices are formed
     at once, as :func:`reduced_density` forms them, and ``np.linalg.eigvalsh``
     runs once per stack of matrices of one size.
@@ -463,7 +474,7 @@ def entanglement_entropy(s: StateVector | ArrayState | list, partition: set[str]
         stack = rho[base[chosen, None] + np.arange(d * d)].reshape(-1, d, d)
         for i, lam in zip(chosen.tolist(), np.linalg.eigvalsh(stack).tolist()):
             for v in lam:
-                if v > 0.0:
+                if v > _EIGEN_TOL and abs(v - 1.0) > _EIGEN_TOL:
                     out[i] -= v * math.log2(v)
     return out if many else out[0]
 

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from aomsim.cli import load_report_schema, main
+from conftest import circuit_texts
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 SWAP_QC = str(CIRCUITS / "swap.qc")
@@ -325,53 +326,6 @@ def test_negative_exponent_value_as_separate_token(head, option, tail, tmp_path,
 
 
 # ---------------------------------------------------------------- random circuits
-
-
-@st.composite
-def circuit_texts(draw) -> str:
-    """Circuit text: 1-3 sources, AOMs on modes the circuit carries, filters, a herald, reports.
-
-    Report branches are drawn from the mode closure: the modes the sources
-    emit and the AOMs write.
-    """
-    lines, modes = [], []
-    for i in range(draw(st.integers(1, 3))):
-        emitted = [(f"s{i}{k}", draw(st.integers(0, 2))) for k in range(4)]
-        arms, alt = (",".join(f"{p}@{b}" for p, b in pair) for pair in (emitted[:2], emitted[2:]))
-        alpha = draw(st.sampled_from([0.0, 0.3, math.pi / 4, 1.2, 1e-200]))
-        lines.append(f"source S{i} arms=({arms}) alt=({alt}) alpha={alpha!r}")
-        modes += emitted
-    for j in range(draw(st.integers(0, 3))):
-        lo, hi = sorted((draw(st.sampled_from(modes)), draw(st.sampled_from(modes))),
-                        key=lambda m: m[1])
-        if lo[0] == hi[0] or lo[1] == hi[1]:  # an AOM needs two paths, one bin apart or more
-            continue
-        t = draw(st.sampled_from([0.5, 0.7071067811865476, 0.9]))
-        convention = draw(st.sampled_from(["unitary", "paper"]))
-        lines.append(f"aom A{j} in=({hi[0]}@{hi[1]},{lo[0]}@{lo[1]}) out=(x{j},y{j}) "
-                     f"shift={hi[1] - lo[1]} t={t!r} convention={convention}")
-        modes += [(f"x{j}", hi[1]), (f"y{j}", lo[1])]
-    paths = sorted({p for p, _ in modes})
-    for k in range(draw(st.integers(0, 2))):
-        lines.append(f"filter F{k} path={draw(st.sampled_from(paths))} "
-                     f"pass={draw(st.integers(0, 2))} sigma={draw(st.sampled_from([0.5, 1.0]))}")
-    if draw(st.booleans()):
-        lines.append("check bandwidth pump=1.0")
-    heralded = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=4, unique=True))
-    cut = draw(st.integers(1, len(heralded)))
-    clauses = [f"count({','.join(part)})=={draw(st.integers(0, 2))}"
-               for part in (heralded[:cut], heralded[cut:]) if part]
-    lines.append("herald " + " and ".join(clauses))
-    some_paths = st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)
-    some_modes = st.lists(st.sampled_from([f"{p}@{b}" for p, b in modes]), min_size=1, max_size=4)
-    for kind in draw(st.lists(st.sampled_from(["entropy", "ghz", "outcomes"]), max_size=2)):
-        if kind == "ghz":
-            lines.append(f"report ghz a=({','.join(draw(some_modes))}) "
-                         f"b=({','.join(draw(some_modes))})")
-        else:
-            key = "split" if kind == "entropy" else "paths"
-            lines.append(f"report {kind} {key}=({','.join(draw(some_paths))})")
-    return "\n".join(lines) + "\n"
 
 
 GHZ_TEXT = (CIRCUITS / "ghz.qc").read_text()
