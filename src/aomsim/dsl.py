@@ -498,8 +498,8 @@ def _modes(modes: tuple[ModeLabel, ...]) -> str:
 class PipelineResult:
     """Execution record: heralded outcomes plus pre-herald diagnostics.
 
-    ``final`` is the evolved state as the engine holds it;
-    ``evolved_state`` builds its kets on first use.
+    ``final`` is the evolved state as the engine holds it, rows in ket
+    order; ``evolved_state`` builds its kets on first use.
     """
 
     outcomes: list[HeraldOutcome]
@@ -542,9 +542,11 @@ class Pipeline:
             alpha: float | list[float] | None = None) -> PipelineResult:
         """Evolve one occupation matrix over the mode closure, then herald and report.
 
-        ``alpha`` gives every source that angle, as ``convention_override``
-        gives every AOM that convention.  A list of angles evolves one batch
-        with one member per angle (:mod:`aomsim.engine`): each outcome's
+        Rows stay in ket order from the sources to the outcomes; without a
+        herald, the final state is the one outcome, ``all``.  ``alpha``
+        gives every source that angle, as ``convention_override`` gives
+        every AOM that convention.  A list of angles evolves one batch with
+        one member per angle (:mod:`aomsim.engine`): each outcome's
         probability, each ``report ghz`` fidelity, each filter survival and
         the success probability are then lists with one value per member,
         and a circuit with ``report entropy`` or ``report outcomes`` raises
@@ -568,18 +570,8 @@ class Pipeline:
                 state = apply_element(state, step)
             else:
                 state, filter_survivals[step.path] = apply_filter(state, step)
-        if self.herald is None:  # one outcome, its rows in ket order as a herald lists them
-            by_ket = engine.ket_order(state.occ)
-            outcomes = [
-                HeraldOutcome(
-                    label="all",
-                    probability=engine.squared(engine.norm(state.amp)),
-                    conditional_state=engine.ArrayState(
-                        state.modes, state.occ[by_ket], engine.select(state.amp, by_ket),
-                        state.non_unitary),
-                    accepted=True,
-                )
-            ]
+        if self.herald is None:
+            outcomes = [HeraldOutcome("all", engine.squared(engine.norm(state.amp)), state, True)]
         elif batch:  # post_select takes one state
             outcomes = [HeraldOutcome(*branch) for branch in _herald(state, self.herald)]
         else:

@@ -7,11 +7,12 @@ build the source tensor product by broadcasting, lift element mode maps,
 filter rows and group rows by herald pattern.  ``FockKet`` and
 ``StateVector`` appear only at the API boundary (:mod:`aomsim.states`).
 
-Rows are kept in the order in which a dict-based evolution would first
-insert their kets, and every kernel visits its input rows in ``FockKet``
-order (:func:`ket_order`).  Complex products and quotients are written out
-in real parts exactly as Python evaluates them, so amplitudes are
-bit-identical to a ket-by-ket evolution with Python complex numbers.
+Rows are in ket order, as ``FockKet`` sorts them (:func:`ket_order`): the
+kernels that make rows emit them so, those that drop rows keep the order,
+and rows gathered from elsewhere are put in it by :func:`ket_sorted`.
+Complex products and quotients are written out in real parts exactly as
+Python evaluates them, so amplitudes are bit-identical to a ket-by-ket
+evolution with Python complex numbers.
 
 Norms are summed in one numpy pass over every member (or every outcome):
 each square is ``np.float_power(np.hypot(re, im), 2.0)``, which is Python's
@@ -80,6 +81,7 @@ __all__ = [
     "kept_rows",
     "memo_small",
     "ket_order",
+    "ket_sorted",
     "norm",
     "span_norms",
     "squared",
@@ -119,10 +121,10 @@ class ArrayState:
 
     ``amp`` is ``complex128[terms]`` for one state, or
     ``complex128[members, terms]`` for a batch of states that share the
-    occupations.  Rows are distinct kets with nonzero amplitudes in every
-    member; every kernel keeps that.  Occupations of another integer type
-    are converted to ``int8``, and raise :class:`CapExceededError` if a
-    count does not fit.
+    occupations.  Rows are distinct kets, in ket order, with nonzero
+    amplitudes in every member; every kernel keeps that.  Occupations of
+    another integer type are converted to ``int8``, and raise
+    :class:`CapExceededError` if a count does not fit.
     """
 
     modes: tuple
@@ -484,8 +486,8 @@ def _group(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, order[new]
 
 
-def ket_order(occ: np.ndarray) -> np.ndarray:
-    """Row permutation listing kets as ``FockKet`` sorts them.
+def _ket_keys(occ: np.ndarray) -> np.ndarray:
+    """Rows recoded so that they compare lexicographically as their kets compare.
 
     Kets compare as tuples of ``(mode, count)`` pairs, and columns are
     sorted by mode.  In packed form: at the first column where two rows
@@ -493,15 +495,26 @@ def ket_order(occ: np.ndarray) -> np.ndarray:
     after, since its next pair has a later mode, unless it has no photon
     left at all, since a tuple that ends first is smaller.
     """
-    rows, cols = occ.shape
-    if not (rows and cols):  # no rows, or only vacua
-        return np.arange(rows)
+    if not occ.size:  # no rows, or only vacua
+        return occ
     occupied = occ != 0
     # one past each row's last occupied column (0 for the vacuum)
-    end = np.where(occupied.any(axis=1), cols - np.argmax(occupied[:, ::-1], axis=1), 0)
-    gap = (np.arange(cols) < end[:, None]) & ~occupied
-    key = occ + gap * np.int16(int(occ.max()) + 1)
-    return np.lexsort(_pack(key)[::-1])
+    end = np.where(occupied.any(axis=1), occ.shape[1] - np.argmax(occupied[:, ::-1], axis=1), 0)
+    gap = (np.arange(occ.shape[1]) < end[:, None]) & ~occupied
+    return occ + gap * np.int16(int(occ.max()) + 1)
+
+
+def ket_order(occ: np.ndarray) -> np.ndarray:
+    """Row permutation listing kets as ``FockKet`` sorts them."""
+    if not occ.size:
+        return np.arange(len(occ))
+    return np.lexsort(_pack(_ket_keys(occ))[::-1])
+
+
+def ket_sorted(state: ArrayState) -> ArrayState:
+    """The state with its rows put in ket order: for rows gathered from outside the kernels."""
+    order = ket_order(state.occ)
+    return ArrayState(state.modes, state.occ[order], select(state.amp, order), state.non_unitary)
 
 
 # ------------------------------------------------------------------ kernels
@@ -511,53 +524,54 @@ def source(spec, modes, alpha: float | list[float] | None = None) -> ArrayState:
     """Rows of ``cos(alpha)|arms> + sin(alpha)|alt>`` over ``modes``.
 
     ``alpha`` replaces ``spec.alpha``; a list of angles gives a batch with
-    one member per angle.  A zero amplitude drops its row, as
-    ``StateVector`` drops zero terms.
+    one member per angle.  The two rows are in ket order, and a zero
+    amplitude drops its row, as ``StateVector`` drops zero terms.
     """
     batch = isinstance(alpha, list)
     angles = alpha if batch else [spec.alpha if alpha is None else alpha]
     _check_budget(2, f"{spec.name} source", len(angles))
     if not all(map(math.isfinite, angles)):
         raise SpecInvariantError(f"{spec.name}: alpha must be a finite number")
+    occ, arms_row = _source_rows(spec.arms, spec.alt, tuple(modes))
     amp = np.zeros((len(angles), 2), dtype=complex)
-    amp.real[:, 0] = list(map(math.cos, angles))  # (a third of the time of a list of pairs)
-    amp.real[:, 1] = list(map(math.sin, angles))
+    amp.real[:, arms_row] = list(map(math.cos, angles))  # (a third of the time of a list of pairs)
+    amp.real[:, 1 - arms_row] = list(map(math.sin, angles))
     if not batch:
         amp = amp[0]
     keep = kept_rows(amp)
-    return ArrayState(tuple(modes), _source_rows(spec.arms, spec.alt, tuple(modes)).compress(keep, axis=0),
-                      select(amp, keep))
+    return ArrayState(tuple(modes), occ.compress(keep, axis=0), select(amp, keep))
 
 
 @lru_cache(maxsize=256)
-def _source_rows(arms: tuple, alt: tuple, modes: tuple) -> np.ndarray:
-    """Occupations of a source's two rows over ``modes``; read-only."""
+def _source_rows(arms: tuple, alt: tuple, modes: tuple) -> tuple[np.ndarray, int]:
+    """A source's two rows over ``modes`` in ket order (read-only), and the row of ``arms``."""
     index = {m: j for j, m in enumerate(modes)}
     occ = np.zeros((2, len(modes)), dtype=np.int8)
     for r, pair in enumerate((arms, alt)):
         for m in pair:
             occ[r, index[m]] += 1
-    return _read_only(occ)
+    order = ket_order(occ)
+    return _read_only(occ[order]), int(order[0])  # of two rows, where row 0 went
 
 
 @memo_small
 def _tensor_plan(a: np.ndarray, modes: tuple, b_raw: bytes, b_shape: tuple):
-    """Ket orders of both operands and the occupations of their product."""
+    """The product's rows in ket order: the row of each operand in each, and their occupations."""
     b = np.frombuffer(b_raw, dtype=np.int8).reshape(b_shape)
     used_a, used_b = a.any(axis=0).tolist(), b.any(axis=0).tolist()
     shared = ({m[0] for m, x in zip(modes, used_a) if x}
               & {m[0] for m, y in zip(modes, used_b) if y})
     if shared:
         raise OverlappingPathsError(f"operands share path(s): {', '.join(sorted(shared))}")
-    oa, ob = ket_order(a), ket_order(b)
-    return oa, ob, (a[oa][:, None, :] + b[ob][None, :, :]).reshape(-1, len(modes))
+    occ = (a[:, None, :] + b[None, :, :]).reshape(-1, len(modes))
+    order = ket_order(occ)
+    return order // len(b), order % len(b), occ[order]
 
 
 def tensor(a: ArrayState, b: ArrayState) -> ArrayState:
     """Tensor product of states on disjoint path sets and the same columns.
 
-    Row ``(i, j)`` is ket ``i`` of ``a`` times ket ``j`` of ``b``, both taken
-    in ket order, which is the order a dict-based product inserts them.
+    Each row is a ket of ``a`` times a ket of ``b``, rows in ket order.
     Batches multiply member by member.
     """
     if a.modes != b.modes:
@@ -565,9 +579,8 @@ def tensor(a: ArrayState, b: ArrayState) -> ArrayState:
     _check_budget(len(a.occ) * len(b.occ), "tensor product",
                   max(_batch_size(a.amp), _batch_size(b.amp)))
     plan = _tensor_plan if len(b.occ) <= _MEMO_ROWS else _tensor_plan.__wrapped__
-    oa, ob, occ = plan(a.occ, a.modes, b.occ.tobytes(), b.occ.shape)
-    amp = _cmul(select(a.amp, oa)[..., None], select(b.amp, ob)[..., None, :])
-    amp = amp.reshape(amp.shape[:-2] + (len(occ),))
+    rows_a, rows_b, occ = plan(a.occ, a.modes, b.occ.tobytes(), b.occ.shape)
+    amp = _cmul(select(a.amp, rows_a), select(b.amp, rows_b))
     keep = kept_rows(amp)
     return ArrayState(a.modes, occ.compress(keep, axis=0), select(amp, keep),
                       a.non_unitary or b.non_unitary)
@@ -649,13 +662,11 @@ def _lift_plan(occ: np.ndarray, modes: tuple, images: tuple, op_modes: tuple, na
     Image term ``e`` multiplies input row ``rows[e]`` by ``coeff[e]``
     (literal maps first divide it by its image's norm ``norms[e]``) and adds
     into output row ``ids[e]``, whose occupations are ``merged[ids[e]]``.
-    Input rows are visited in ket order, and output rows are numbered in
-    order of first appearance.
+    Input rows are visited in their own order, which is ket order, and
+    output rows are numbered in ket order.
     """
     table = dict(images)
     touched = [modes.index(m) for m in op_modes]
-    order = ket_order(occ)
-    occ = occ[order]
     _check_wiring(modes, occ, name, table)
     sub_ids, first = _group(occ[:, touched])
     tables = []
@@ -679,11 +690,8 @@ def _lift_plan(occ: np.ndarray, modes: tuple, images: tuple, op_modes: tuple, na
     norms = np.array([t[2] for t in tables])[sub_ids][rows]
     out = occ[rows]
     out[:, touched] = np.concatenate([t[0] for t in tables])[entry]
-    ids, first = _group(out)
-    appear = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[appear] = np.arange(len(first))
-    return order[rows], coeff, norms, rank[ids], out[first[appear]]
+    ids, first = _group(_ket_keys(out))  # groups in ket order
+    return rows, coeff, norms, ids, out[first]
 
 
 def lift(state: ArrayState, op) -> ArrayState:
@@ -694,7 +702,7 @@ def lift(state: ArrayState, op) -> ArrayState:
     weight, then renormalize the total, and flag the result ``non_unitary``.
     Duplicates are merged per member with ``np.bincount`` on output ids
     offset by ``member * rows``, so each output row adds its image terms in
-    input order.
+    input order; output rows are in ket order.
     """
     op_modes = op.modes
     missing = set(op_modes) - set(state.modes)
@@ -763,8 +771,7 @@ def herald_groups(occ: np.ndarray, modes: tuple, paths: tuple[str, ...], clauses
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows grouped by their photon-count pattern over ``paths``.
 
-    Returns ``(by_ket, ids, patterns, sizes, accepted)``: ``by_ket`` lists
-    the rows in ket order (:func:`ket_order`) and ``ids`` gives each row's
+    Returns ``(ids, patterns, sizes, accepted)``: ``ids`` gives each row's
     group; ``patterns``, ``sizes`` and ``accepted`` are per group, groups in
     sorted pattern order.  A pattern is accepted iff every ``(clause paths,
     count)`` total matches.
@@ -776,11 +783,11 @@ def herald_groups(occ: np.ndarray, modes: tuple, paths: tuple[str, ...], clauses
     accepted = np.ones(len(first), dtype=bool)
     for clause_paths, required in clauses:
         accepted &= patterns[:, [index[p] for p in clause_paths]].sum(axis=1) == required
-    return ket_order(occ), ids, patterns, np.bincount(ids, minlength=len(first)), accepted
+    return ids, patterns, np.bincount(ids, minlength=len(first)), accepted
 
 
 def count_distribution(state: ArrayState, paths) -> dict[int, float]:
-    """Probability of each total photon count over ``paths``, summed in row order (one state).
+    """Probability of each total photon count over ``paths``, summed in ket order (one state).
 
     Each count's squares (:func:`_squares`) are added in row order by
     ``np.bincount``, as ``total += abs(a) ** 2`` adds them.  Raises

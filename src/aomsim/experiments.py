@@ -105,9 +105,8 @@ class HeraldOutcome:
     discard bucket.  It is held once, as rows: ``rows`` is that
     :class:`ArrayState`, and ``conditional_state`` its :class:`StateVector`,
     built on first read unless it was given.  Both are read-only.  The rows
-    of a given :class:`StateVector` are put in ket order; an
-    :class:`ArrayState` is taken in its own order, which for a herald's
-    outcomes is ket order, the order a run report lists the terms in.
+    are in ket order (:mod:`aomsim.engine`), the order a run report lists
+    the terms in.
     """
 
     label: str
@@ -123,12 +122,8 @@ class HeraldOutcome:
         self.label, self.probability = label, probability
         self.accepted, self.pattern = accepted, pattern
         self.metrics = {} if metrics is None else metrics
-        rows = None if conditional_state is None else as_arrays(conditional_state)
+        self._rows = None if conditional_state is None else as_arrays(conditional_state)
         self._state = conditional_state if isinstance(conditional_state, StateVector) else None
-        if self._state is not None:  # its rows in ket order, as a herald lists them
-            by_ket = engine.ket_order(rows.occ)
-            rows = ArrayState(rows.modes, rows.occ[by_ket], rows.amp[by_ket], rows.non_unitary)
-        self._rows = rows
 
     @property
     def rows(self) -> ArrayState | None:
@@ -180,24 +175,23 @@ def _pattern_labels(paths: tuple[str, ...], patterns: list[list[int]]) -> list[s
 def _herald_plan(occ, modes: tuple, rule: HeraldRule):
     """Row orders and outcomes of a herald: ``(order, summed, sizes, outcomes)``.
 
-    ``order`` lists the state's rows outcome by outcome, in ket order within
-    each, ``sizes`` counts them and ``outcomes`` holds each one's ``(label,
-    pattern, accepted)``.  The discard bucket comes last, made of
+    ``order`` lists the state's rows outcome by outcome, each in ket order
+    (the state's), ``sizes`` counts them and ``outcomes`` holds each one's
+    ``(label, pattern, accepted)``.  The discard bucket comes last, made of
     the rejected patterns, unless the rule keeps them apart.  ``summed`` is
     the order the outcomes' norms are summed in: the same, except that the
     bucket lists its rows pattern by pattern, patterns in sorted order.
     """
     paths = rule.paths()
-    by_ket, ids, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
+    ids, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
     shown = accepted if rule.discard_complement else np.ones(len(sizes), dtype=bool)
     groups = np.flatnonzero(accepted).tolist() + np.flatnonzero(~accepted & shown).tolist()
     rank = np.full(len(sizes), len(groups))  # the discard bucket's groups rank last
     rank[groups] = np.arange(len(groups))
-    group = ids[by_ket]
-    order = by_ket[np.argsort(rank[group], kind="stable")]
+    order = np.argsort(rank[ids], kind="stable")
     # to sum norms in: the same ranks, but the bucket's groups one after another
     pattern_rank = np.where(rank == len(groups), len(groups) + np.arange(len(sizes)), rank)
-    summed = by_ket[np.argsort(pattern_rank[group], kind="stable")]
+    summed = np.argsort(pattern_rank[ids], kind="stable")
     shown_patterns = patterns[groups].tolist()
     outcomes = [(label, tuple(zip(paths, pattern)), is_accepted) for label, pattern, is_accepted
                 in zip(_pattern_labels(paths, shown_patterns), shown_patterns,
@@ -292,9 +286,10 @@ def restrict_to_paths(s: StateVector | ArrayState, keep: set[str] | frozenset[st
 def _combined_accepted(outcomes: list[HeraldOutcome]) -> ArrayState | None:
     """Coherent sum of the accepted components, renormalized, on their rows.
 
-    The outcomes of one herald hold distinct kets, so the sum lists their
-    rows one after another, each amplitude weighted by the square root of
-    its outcome's probability as Python multiplies a complex by a float.
+    The outcomes of one herald hold distinct kets, so the sum gathers their
+    rows, each amplitude weighted by the square root of its outcome's
+    probability as Python multiplies a complex by a float, and puts them in
+    ket order.
     """
     accepted = [o for o in outcomes if o.accepted and o.rows is not None]
     if not accepted:
@@ -306,8 +301,8 @@ def _combined_accepted(outcomes: list[HeraldOutcome]) -> ArrayState | None:
     if not keep.any():  # no accepted component, or its weight underflowed to 0
         return None
     occ = np.concatenate([p.occ for p in parts]).compress(keep, axis=0)
-    return engine.normalize(ArrayState(parts[0].modes, occ, amp[keep],
-                                       any(p.non_unitary for p in parts)))
+    return engine.normalize(engine.ket_sorted(ArrayState(parts[0].modes, occ, amp[keep],
+                                                         any(p.non_unitary for p in parts))))
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,8 @@ kets (:class:`StateVector`).
 
 ``StateVector`` is the API boundary of the array engine
 (:mod:`aomsim.engine`), which evolves occupation matrices:
-:func:`as_arrays` and :func:`as_state` convert between the two, keeping the
-order of terms, and :func:`tensor` is a wrapper over the engine's
+:func:`as_arrays` and :func:`as_state` convert between the two, rows in ket
+order, and :func:`tensor` is a wrapper over the engine's
 broadcasting kernel.  Like the element and herald wrappers, it also takes an
 :class:`~aomsim.engine.ArrayState` and then returns one, so a compiled
 pipeline runs through the same public functions without building kets.
@@ -255,7 +255,7 @@ def ket(modes: Iterable[ModeLabel]) -> StateVector:
 
 
 def as_arrays(s: StateVector | ArrayState, modes: Iterable[ModeLabel] = ()) -> ArrayState:
-    """The state as an occupation matrix, one row per term in term order.
+    """The state as an occupation matrix, one row per term in ket order.
 
     The columns are the state's own modes plus ``modes``, sorted.  An
     :class:`ArrayState` is returned as it is: its compiled columns already
@@ -282,7 +282,7 @@ def as_arrays(s: StateVector | ArrayState, modes: Iterable[ModeLabel] = ()) -> A
     occ = np.zeros((len(s.terms), len(columns)), dtype=np.int8)
     occ[rows, cols] = counts
     amp = np.array(list(s.terms.values()), dtype=complex).reshape(len(s.terms))
-    return ArrayState(columns, occ, amp, s.non_unitary)
+    return engine.ket_sorted(ArrayState(columns, occ, amp, s.non_unitary))
 
 
 # Up to this many rows, Python lists handle an occupation matrix faster than
