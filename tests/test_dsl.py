@@ -25,7 +25,7 @@ from aomsim.dsl import (
     SourceStmt,
 )
 from aomsim.states import ModeLabel
-from conftest import outcome_bits
+from conftest import circuit_texts, outcome_bits
 
 M = ModeLabel
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -256,6 +256,13 @@ def test_format_round_trip_preserves_nondefault_arguments():
         "herald count(x)==1 and count(y)==0\n"
         "report outcomes paths=(x,y)\n"
     )
+    ast = parse_ok(text)
+    assert parse_ok(format_circuit(ast)) == ast
+
+
+@given(circuit_texts())
+@settings(max_examples=150, deadline=None)
+def test_format_round_trip_on_random_circuits(text):
     ast = parse_ok(text)
     assert parse_ok(format_circuit(ast)) == ast
 

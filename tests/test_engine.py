@@ -4,24 +4,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aomsim import (
     AomSpec,
     CapExceededError,
     Convention,
+    FilterSpec,
     FockKet,
+    HeraldRule,
     NonFiniteError,
+    SourceSpec,
     StateVector,
+    ZeroStateError,
     apply_element,
+    apply_filter,
     compile_circuit,
     dense_oracle_apply,
     engine,
     make_aom,
+    make_source,
     normalize,
     parse,
+    post_select,
+    tensor,
 )
 from aomsim.cli import main
 from aomsim.elements import circuit_modes
+from aomsim.experiments import _herald
 from aomsim.states import as_arrays, as_state
 from conftest import M, max_amplitude_dev, random_circuit
 from test_golden import chain_circuit
@@ -120,6 +130,66 @@ def test_ket_order_and_grouping_match_python_sorting():
         distinct = sorted(set(rows))
         assert ids.tolist() == [distinct.index(r) for r in rows]
         assert first.tolist() == [rows.index(r) for r in distinct]
+
+
+def assert_ket_order(state):
+    """Rows of an array state, or terms of a ``StateVector``, listed as ``FockKet`` sorts them."""
+    if isinstance(state, StateVector):
+        assert list(state.terms) == sorted(state.terms)
+    else:
+        assert engine.ket_order(state.occ).tolist() == list(range(len(state.occ)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), convention=st.sampled_from(CONVENTIONS),
+       batch=st.booleans(), paths=st.permutations("pqrt"),
+       bins=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+       alphas=st.lists(st.floats(0.1, 1.4), min_size=2, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_every_kernel_emits_its_rows_in_ket_order(seed, convention, batch, paths, bins, alphas):
+    """Source, tensor, lift, filter, normalize and herald all leave rows in ket order, on
+    array states (one state or a batch) and on ``StateVector`` terms."""
+    rng = np.random.default_rng(seed)
+    state, aoms = random_circuit(rng, convention)
+    ops = [make_aom(spec) for spec in aoms]
+    m = [M(p, b) for p, b in zip(paths, bins)]
+    source = SourceSpec("S", (m[0], m[1]), (m[2], m[3]))
+    spectators = {mode for k in state.terms for mode in k.modes()}
+    modes = tuple(sorted(spectators.union(circuit_modes([source], ops))))
+    shuffled = StateVector(dict(reversed(list(state.terms.items()))))
+    arrays = as_arrays(shuffled, modes)
+    assert_ket_order(arrays)
+    emitted = make_source(source, modes, alphas if batch else alphas[0])
+    assert_ket_order(emitted)
+    assert_ket_order(tensor(arrays, emitted))
+    arrays = tensor(emitted, arrays)
+    assert_ket_order(arrays)
+    for op in ops:
+        arrays = apply_element(arrays, op)
+        assert_ket_order(arrays)
+    pass_bin = int(rng.integers(0, 3))
+    try:
+        arrays, _ = apply_filter(arrays, FilterSpec(aoms[-1].output_x, pass_bin))
+        assert_ket_order(arrays)
+    except ZeroStateError:  # the filter blocked every row
+        pass
+    assert_ket_order(engine.normalize(arrays))
+    rule = HeraldRule([({aoms[-1].output_x, aoms[-1].output_y}, 1)])
+    for _, _, rows, _, _ in _herald(arrays, rule):
+        if rows is not None:
+            assert_ket_order(rows)
+
+    # the StateVector wrappers list their terms in ket order too
+    single = make_source(source)
+    assert_ket_order(single)
+    assert_ket_order(tensor(shuffled, single))
+    assert_ket_order(normalize(shuffled))
+    evolved = shuffled
+    for op in ops:
+        evolved = apply_element(evolved, op)
+        assert_ket_order(evolved)
+    for outcome in post_select(evolved, rule):
+        if outcome.conditional_state is not None:
+            assert_ket_order(outcome.conditional_state)
 
 
 def test_memoised_small_plans_match_fresh_vectorised_runs(monkeypatch):

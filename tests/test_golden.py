@@ -9,8 +9,9 @@ every report, demo and sweep must still reproduce them byte for byte.  The
 ``unresolved_split_entropy`` field of ``demo_swap_paper_pi4.json`` and
 ``demo_swap_paper_a06.json`` was re-recorded from ``3.20342650381e-16`` to
 ``0.0`` once entropies stopped adding the rounding of eigenvalues at 1 (the
-literal swap's combined state factorises across that cut).  The k=5 swap chain's report (745 KB) is pinned by its
-SHA-256 instead, recorded before the array engine replaced the sparse one;
+literal swap's combined state factorises across that cut).  The k=5 swap
+chain's report (745 KB) is pinned by its SHA-256 instead, recorded before
+the array engine replaced the sparse one;
 ``chain5.qc`` is ``bench/workloads.chain_circuit(5, op_rng(0, 0))``.  Paths
 are passed relative to the repository root, because a run report records
 the circuit path it was given.
