@@ -551,7 +551,7 @@ def _source_rows(arms: tuple, alt: tuple, modes: tuple) -> tuple[np.ndarray, int
         for m in pair:
             occ[r, index[m]] += 1
     order = ket_order(occ)
-    return _read_only(occ[order]), int(order[0])  # of two rows, where row 0 went
+    return _read_only(occ[order]), int(order[0])  # two rows: order is its own inverse
 
 
 @memo_small
