@@ -16,7 +16,8 @@ The schemes themselves are circuit text, shipped with the package as
 They add only their own metrics and result types.  The swap layout (two
 AOMs) projects the two untouched outer photons onto a maximally
 frequency-entangled pair whenever exactly one photon exits each AOM; its
-combined accepted state is probed for factorization on the same rows.  The
+combined accepted state, the run's final rows whose pattern the herald
+accepts, renormalized, is probed for factorization.  The
 GHZ layout (one AOM, two filtered detectors) heralds a three-photon
 GHZ-class state on exactly one detector firing.  Given a list of angles,
 :func:`run_ghz` runs them as one batch through the same ``Pipeline.run``,
@@ -47,7 +48,6 @@ from .states import (
     ghz_fidelity,
     normalize,
     reduced_density,
-    shared_columns,
     tensor,
 )
 
@@ -283,26 +283,18 @@ def restrict_to_paths(s: StateVector | ArrayState, keep: set[str] | frozenset[st
     return ArrayState(modes, occ, s.amp, s.non_unitary)
 
 
-def _combined_accepted(outcomes: list[HeraldOutcome]) -> ArrayState | None:
-    """Coherent sum of the accepted components, renormalized, on their rows.
+def _combined_accepted(state: ArrayState, rule: HeraldRule) -> ArrayState | None:
+    """The rows of ``state`` whose herald pattern ``rule`` accepts, renormalized; None if none is.
 
-    The outcomes of one herald hold distinct kets, so the sum gathers their
-    rows, each amplitude weighted by the square root of its outcome's
-    probability as Python multiplies a complex by a float, and puts them in
-    ket order.
+    The rows stay in the state's ket order, so the combined state is the
+    coherent sum of the accepted outcomes, each weighted by its amplitude.
     """
-    accepted = [o for o in outcomes if o.accepted and o.rows is not None]
-    if not accepted:
+    ids, _, _, accepted = engine.herald_groups(state.occ, state.modes, rule.paths(), rule.clauses)
+    keep = accepted[ids]
+    if not keep.any():
         return None
-    parts = shared_columns([o.rows for o in accepted])
-    weights = np.repeat([math.sqrt(o.probability) for o in accepted], [len(p.amp) for p in parts])
-    amp = 0j + engine._cmul(np.concatenate([p.amp for p in parts]), weights + 0j)
-    keep = engine.kept_rows(amp)
-    if not keep.any():  # no accepted component, or its weight underflowed to 0
-        return None
-    occ = np.concatenate([p.occ for p in parts]).compress(keep, axis=0)
-    return engine.normalize(engine.ket_sorted(ArrayState(parts[0].modes, occ, amp[keep],
-                                                         any(p.non_unitary for p in parts))))
+    return engine.normalize(ArrayState(state.modes, state.occ.compress(keep, axis=0),
+                                       engine.select(state.amp, keep), state.non_unitary))
 
 
 @lru_cache(maxsize=None)
@@ -346,7 +338,7 @@ def run_swap(alpha: float = math.pi / 4, convention: Convention = Convention.UNI
             # pure state of the four outer-photon paths
             pair_states[o.label] = as_state(restrict_to_paths(o.rows, pair_paths))
 
-    combined = _combined_accepted(outcomes)
+    combined = _combined_accepted(run.final, pipeline.herald)
     metrics: dict[str, float] = {"success_probability": run.success_probability}
     if combined is not None:
         metrics["unresolved_split_entropy"] = entanglement_entropy(combined, pair_paths)

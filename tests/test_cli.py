@@ -154,6 +154,28 @@ def test_demo_swap_json_validates(tmp_path, capsys):
     assert report["flags"]["non_unitary"] is True
 
 
+COMBINED_METRICS = ("unresolved_split_entropy", "output_purity", "pair_block_fidelity")
+
+
+@pytest.mark.parametrize("convention,want", [("unitary", (1.0, 0.5, 0.5)),
+                                             ("paper", (0.0, 1.0, 1.0))])
+def test_demo_swap_prints_the_combined_metrics_at_tiny_angles(convention, want, tmp_path, capsys):
+    """The combined accepted state exists however small the success probability gets."""
+    def metrics(alpha: str) -> tuple[str, list[float]]:
+        out = tmp_path / "swap.json"
+        assert main(["demo", "swap", f"--alpha={alpha}", "--convention", convention,
+                     "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        return capsys.readouterr().out, [report["metrics"][k] for k in COMBINED_METRICS]
+
+    _, at_1e160 = metrics("1e-160")
+    assert at_1e160 == pytest.approx(want, abs=1e-12)
+    for alpha in ("1e-162", "1e-200", "5e-324"):
+        printed, values = metrics(alpha)
+        assert all(f"{key}: " in printed for key in COMBINED_METRICS), alpha
+        assert values == pytest.approx(at_1e160, abs=1e-12), alpha
+
+
 def test_pretty_json_differs_only_in_whitespace(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["demo", "ghz", "--json", str(a)]) == 0

@@ -9,7 +9,10 @@ every report, demo and sweep must still reproduce them byte for byte.  The
 ``unresolved_split_entropy`` field of ``demo_swap_paper_pi4.json`` and
 ``demo_swap_paper_a06.json`` was re-recorded from ``3.20342650381e-16`` to
 ``0.0`` once entropies stopped adding the rounding of eigenvalues at 1 (the
-literal swap's combined state factorises across that cut).  The k=5 swap
+literal swap's combined state factorises across that cut).  The two
+``demo_swap_*_tiny.json`` files (``alpha = 1e-200``) were written once the
+swap's combined accepted state was taken from the run's final rows: the
+first reports at an angle that small to hold its three metrics.  The k=5 swap
 chain's report (745 KB) is pinned by its SHA-256 instead, recorded before
 the array engine replaced the sparse one;
 ``chain5.qc`` is ``bench/workloads.chain_circuit(5, op_rng(0, 0))``.  Paths
@@ -46,6 +49,10 @@ CASES = [
     for demo in ("swap", "ghz")
     for conv in ("unitary", "paper")
     for tag, alpha in (("pi4", None), ("a06", "0.6"))
+] + [
+    (["demo", "swap", "--alpha=1e-200", "--convention", conv, "--json"],
+     f"demo_swap_{conv}_tiny.json")
+    for conv in ("unitary", "paper")
 ]
 
 
