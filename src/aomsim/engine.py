@@ -9,7 +9,8 @@ filter rows and group rows by herald pattern.  ``FockKet`` and
 
 Rows are in ket order, as ``FockKet`` sorts them (:func:`ket_order`): the
 kernels that make rows emit them so, those that drop rows keep the order,
-and rows gathered from elsewhere are put in it by :func:`ket_sorted`.
+and a ``StateVector``'s terms are put in it where they enter
+(:func:`aomsim.states.as_arrays`).
 Complex products and quotients are written out in real parts exactly as
 Python evaluates them, so amplitudes are bit-identical to a ket-by-ket
 evolution with Python complex numbers.
@@ -24,6 +25,11 @@ order of the sum does not depend on the Python version (the built-in
 ``sum`` compensates from Python 3.12).  A sum that underflows or overflows
 is taken again over the amplitudes scaled by their largest magnitude; a
 norm that is still not finite raises :class:`NonFiniteError`.
+
+One routine rescales to unit norm, :func:`unit`, span by span (a state, or
+each outcome of a herald); :func:`unit_rows`, which also drops the rows that
+underflowed, serves :func:`normalize`, :func:`filter_rows`, the literal
+:func:`lift` and the herald (:func:`aomsim.experiments.post_select`).
 
 The lift groups rows by their occupation of the element's modes (inputs
 plus outputs).  Each distinct sub-occupation is expanded once through the
@@ -81,11 +87,11 @@ __all__ = [
     "kept_rows",
     "memo_small",
     "ket_order",
-    "ket_sorted",
     "norm",
     "span_norms",
     "squared",
     "unit",
+    "unit_rows",
     "normalize",
     "source",
     "tensor",
@@ -300,18 +306,11 @@ def _rescaled(amp: np.ndarray, n: np.ndarray, fine: np.ndarray) -> np.ndarray:
 def norm(amp: np.ndarray) -> float | list[float]:
     """Euclidean norm, squares summed in row order, as ``StateVector.norm`` sums its terms.
 
-    A batch gets a list with each member's norm.  Each square is Python's
-    ``abs(a) ** 2`` and the squares are added left to right, so a norm has
-    the bits of ``math.sqrt`` of that sum on any Python version.  A sum that
-    underflows or overflows is redone on the amplitudes scaled by their
-    largest magnitude, so a tiny nonzero state never has norm 0 and a huge
-    one never overflows; a norm past the largest float, or of an infinite
-    or NaN amplitude, raises :class:`NonFiniteError`.
+    The one-span case of :func:`span_norms`, with its bits and its rescale
+    of a sum that under- or overflows; a batch gets a list with each
+    member's norm.
     """
-    n, fine = _roots(_sums(_squares(amp)))
-    if not (fine.all() if fine.ndim else fine):  # (a numpy bool's all() costs microseconds)
-        n = _rescaled(amp, n, fine)
-    return n.tolist()
+    return span_norms(amp, [amp.shape[-1]])[..., 0].tolist()
 
 
 @lru_cache(maxsize=256)
@@ -334,8 +333,13 @@ def span_norms(amp: np.ndarray, sizes: list[int]) -> np.ndarray:
 
     Returns ``amp.shape[:-1] + (len(sizes),)``: a row of span norms per
     member of a batch.  The squares are taken once for every term, and the
-    spans of one length are summed in one pass; each norm has the bits of
-    :func:`norm` of its span, and an empty span has norm 0.
+    spans of one length are summed in one pass.  Each norm has the bits of
+    ``math.sqrt`` of a left-to-right sum of Python's ``abs(a) ** 2`` on any
+    Python version; a sum that underflows or overflows is redone on the
+    span scaled by its largest magnitude, so a tiny nonzero span never has
+    norm 0 and a huge one never overflows; a norm past the largest float,
+    or of an infinite or NaN amplitude, raises :class:`NonFiniteError`.  An
+    empty span has norm 0.
     """
     sq = _squares(amp)
     sizes = tuple(sizes)
@@ -369,47 +373,55 @@ def _lifted(amp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _per_member(n: float | list[float] | np.ndarray):
-    """A list of norms, one per member of a batch, as a column that broadcasts over the terms."""
-    return np.array(n)[:, None] if isinstance(n, list) else n
+def unit(amp: np.ndarray, sizes: list[int] | None = None, n: np.ndarray | None = None
+         ) -> np.ndarray:
+    """``amp`` with each span of terms over the span's norm ``n`` (:func:`span_norms`).
 
-
-def unit(amp: np.ndarray, n: float | list[float] | np.ndarray | None = None,
-         norms=norm) -> np.ndarray:
-    """``amp`` over its norm ``n``, as ``normalize`` rescales a ``StateVector``.
-
-    ``n`` is one norm, a list with one per member of a batch, or an array
-    that broadcasts against ``amp`` (one norm per row, say), and ``norms``
-    takes it from amplitudes.  Raises :class:`ZeroStateError` if a norm is
-    zero.  A norm below the smallest normal float has lost its significant
-    bits, so there the amplitudes are scaled by an exact power of two and
-    divided by ``norms`` of the scaled amplitudes; only those are scaled.
+    ``sizes`` counts the terms of consecutive spans, by default one span of
+    every term.  Raises :class:`ZeroStateError` for a span with terms whose
+    norm is 0, or for no terms at all without ``sizes``; an empty span, such
+    as an empty discard bucket, is left alone.  A norm below the smallest
+    normal float has lost its significant bits, so the terms of that span
+    are scaled by an exact power of two and divided by the norm of the
+    scaled span; only those are scaled.
     """
-    n = norms(amp) if n is None else n
-    if isinstance(n, float):  # one state: Python compares a float faster than numpy
-        if not n:
+    if sizes is None:
+        if not amp.shape[-1]:
             raise ZeroStateError("cannot normalize a zero state")
-        if n >= _SMALLEST_NORMAL:
-            return _cmul(amp, 1.0 / n + 0j)
-        up = _lifted(amp)
-        return _cdiv(up, norms(up))
-    n = _per_member(n)
+        sizes = [amp.shape[-1]]
+    n = np.repeat(span_norms(amp, sizes) if n is None else n, sizes, axis=-1)  # per term
     if not n.all():
         raise ZeroStateError("cannot normalize a zero state")
-    if np.min(n, initial=math.inf) < _SMALLEST_NORMAL:  # 1 / n would overflow
-        tiny = n < _SMALLEST_NORMAL
-        up = _lifted(np.where(tiny, amp, 0j))  # the other members could overflow
-        return np.where(tiny, _cdiv(up, np.where(tiny, _per_member(norms(up)), 1.0)),
-                        _cmul(amp, 1.0 / np.maximum(n, _SMALLEST_NORMAL) + 0j))
-    return _cmul(amp, 1.0 / n + 0j)
+    if n.min(initial=math.inf) >= _SMALLEST_NORMAL:
+        return _cmul(amp, 1.0 / n + 0j)
+    tiny = n < _SMALLEST_NORMAL  # 1 / n would overflow
+    up = _lifted(np.where(tiny, amp, 0j))  # the other spans could overflow
+    up_n = np.repeat(span_norms(up, sizes), sizes, axis=-1)
+    return np.where(tiny, _cdiv(up, np.where(tiny, up_n, 1.0)),
+                    _cmul(amp, 1.0 / np.maximum(n, _SMALLEST_NORMAL) + 0j))
+
+
+def unit_rows(state: ArrayState, sizes: list[int] | None = None
+              ) -> tuple[ArrayState, np.ndarray, list[int]]:
+    """The state with each span of rows normalized (:func:`unit`), less rows that underflowed to 0.
+
+    Returns that state, the span norms (:func:`span_norms`) and the bounds
+    of the spans after the drop: span ``i`` is rows ``bounds[i]:bounds[i + 1]``.
+    """
+    spans = [len(state.occ)] if sizes is None else sizes
+    n = span_norms(state.amp, spans)
+    amp = unit(state.amp, sizes, n)
+    occ, bounds = state.occ, np.cumsum([0, *spans])
+    if np.count_nonzero(amp) < amp.size:  # a tiny amplitude underflowed to 0
+        keep = kept_rows(amp)
+        occ, amp = occ.compress(keep, axis=0), select(amp, keep)
+        bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
+    return ArrayState(state.modes, occ, amp, state.non_unitary), n, bounds.tolist()
 
 
 def normalize(state: ArrayState) -> ArrayState:
-    """Rescale to unit norm; raises :class:`ZeroStateError` on a zero state."""
-    amp = unit(state.amp)
-    keep = kept_rows(amp)
-    return ArrayState(state.modes, state.occ.compress(keep, axis=0), select(amp, keep),
-                      state.non_unitary)
+    """Rescale to unit norm (:func:`unit_rows`); raises :class:`ZeroStateError` on a zero state."""
+    return unit_rows(state)[0]
 
 
 def _read_only(obj):
@@ -509,12 +521,6 @@ def ket_order(occ: np.ndarray) -> np.ndarray:
     if not occ.size:
         return np.arange(len(occ))
     return np.lexsort(_pack(_ket_keys(occ))[::-1])
-
-
-def ket_sorted(state: ArrayState) -> ArrayState:
-    """The state with its rows put in ket order: for rows gathered from outside the kernels."""
-    order = ket_order(state.occ)
-    return ArrayState(state.modes, state.occ[order], select(state.amp, order), state.non_unitary)
 
 
 # ------------------------------------------------------------------ kernels
@@ -740,17 +746,14 @@ def filter_rows(state: ArrayState, path: str, pass_bin: int) -> tuple[ArrayState
     (a list with one per member, for a batch).
     """
     blocked = [j for j, m in enumerate(state.modes) if m[0] == path and m[1] != pass_bin]
-    occ, amp = state.occ, state.amp
     if blocked:
-        keep = ~(occ[:, blocked] != 0).any(axis=1)
-        occ, amp = occ.compress(keep, axis=0), select(amp, keep)
-    n = norm(amp)
-    if not np.all(n):
+        keep = ~(state.occ[:, blocked] != 0).any(axis=1)
+        state = ArrayState(state.modes, state.occ.compress(keep, axis=0),
+                           select(state.amp, keep), state.non_unitary)
+    if not len(state.occ):
         raise ZeroStateError(f"filter on {path} (pass bin {pass_bin}) removed every term")
-    amp = unit(amp, n)
-    keep = kept_rows(amp)
-    occ = occ.compress(keep, axis=0)
-    return ArrayState(state.modes, occ, select(amp, keep), state.non_unitary), squared(n)
+    survivors, n, _ = unit_rows(state)
+    return survivors, squared(n[..., 0])
 
 
 def _path_counts(occ: np.ndarray, modes: tuple, paths) -> np.ndarray:

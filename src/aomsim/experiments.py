@@ -173,14 +173,13 @@ def _pattern_labels(paths: tuple[str, ...], patterns: list[list[int]]) -> list[s
 
 @engine.memo_small
 def _herald_plan(occ, modes: tuple, rule: HeraldRule):
-    """Row orders and outcomes of a herald: ``(order, summed, sizes, outcomes)``.
+    """The row order and outcomes of a herald: ``(order, sizes, outcomes)``.
 
-    ``order`` lists the state's rows outcome by outcome, each in ket order
-    (the state's), ``sizes`` counts them and ``outcomes`` holds each one's
-    ``(label, pattern, accepted)``.  The discard bucket comes last, made of
-    the rejected patterns, unless the rule keeps them apart.  ``summed`` is
-    the order the outcomes' norms are summed in: the same, except that the
-    bucket lists its rows pattern by pattern, patterns in sorted order.
+    ``order`` lists the state's rows outcome by outcome, each outcome's rows
+    in ket order (the state's), ``sizes`` counts them and ``outcomes`` holds
+    each one's ``(label, pattern, accepted)``.  The discard bucket comes
+    last, made of the rejected patterns, unless the rule keeps them apart;
+    its rows are in ket order too, whatever their patterns.
     """
     paths = rule.paths()
     ids, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
@@ -189,9 +188,6 @@ def _herald_plan(occ, modes: tuple, rule: HeraldRule):
     rank = np.full(len(sizes), len(groups))  # the discard bucket's groups rank last
     rank[groups] = np.arange(len(groups))
     order = np.argsort(rank[ids], kind="stable")
-    # to sum norms in: the same ranks, but the bucket's groups one after another
-    pattern_rank = np.where(rank == len(groups), len(groups) + np.arange(len(sizes)), rank)
-    summed = np.argsort(pattern_rank[ids], kind="stable")
     shown_patterns = patterns[groups].tolist()
     outcomes = [(label, tuple(zip(paths, pattern)), is_accepted) for label, pattern, is_accepted
                 in zip(_pattern_labels(paths, shown_patterns), shown_patterns,
@@ -200,7 +196,7 @@ def _herald_plan(occ, modes: tuple, rule: HeraldRule):
     if rule.discard_complement:
         outcomes.append(("discard", None, False))
         counts.append(int(sizes[~accepted].sum()))
-    return order, summed, counts, outcomes
+    return order, counts, outcomes
 
 
 def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
@@ -209,30 +205,22 @@ def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
     One ``(label, probability, rows, accepted, pattern)`` per outcome, the
     arguments of :class:`HeraldOutcome`: ``probability`` is a list with one
     per member for a batch, and ``rows`` the normalized conditional state
-    (None for an empty discard bucket), in ket order.  The outcomes' norms
-    are taken at once (:func:`aomsim.engine.span_norms`), each over its own
-    rows, the discard bucket's pattern by pattern, and every row is
-    rescaled in one product.  A norm below the smallest normal float is
-    taken again on its scaled rows (:func:`aomsim.engine.unit`), in ket order.
+    (None for an empty discard bucket), in ket order.  The rows are gathered
+    outcome by outcome once, and one engine call (:func:`aomsim.engine.unit_rows`)
+    normalizes each outcome's span of them and returns the span norms, each
+    summed in ket order, the discard bucket's too.
     """
-    order, summed, sizes, plan = _herald_plan(state.occ, state.modes, rule)
-    occ, amp = state.occ[order], engine.select(state.amp, order)
-    bounds = np.cumsum([0] + sizes).tolist()
-    norms = engine.span_norms(engine.select(state.amp, summed), sizes)
-    unit = engine.unit(amp, np.repeat(norms, sizes, axis=-1),  # by each row's norm
-                       lambda up: np.repeat(engine.span_norms(up, sizes), sizes, axis=-1))
-    if np.count_nonzero(unit) < unit.size:  # a tiny amplitude underflowed to 0
-        keep = engine.kept_rows(unit)
-        unit, occ = engine.select(unit, keep), occ.compress(keep, axis=0)
-        bounds = np.cumsum([0] + keep.tolist())[bounds].tolist()
+    order, sizes, plan = _herald_plan(state.occ, state.modes, rule)
+    rows, norms, bounds = engine.unit_rows(ArrayState(
+        state.modes, state.occ[order], engine.select(state.amp, order), state.non_unitary), sizes)
     branches = []
     for (label, pattern, accepted), p, size, a, b in zip(
             plan, engine.squared(norms.T), sizes, bounds, bounds[1:]):
-        rows = None
+        outcome = None
         if pattern is not None or size:  # an empty discard bucket has no state
-            rows = ArrayState(state.modes, occ[a:b], engine.select(unit, slice(a, b)),
-                              state.non_unitary)
-        branches.append((label, p, rows, accepted, pattern))
+            outcome = ArrayState(state.modes, rows.occ[a:b], engine.select(rows.amp, slice(a, b)),
+                                 state.non_unitary)
+        branches.append((label, p, outcome, accepted, pattern))
     return branches
 
 
@@ -241,9 +229,9 @@ def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOut
 
     Returns one outcome per satisfying pattern (sorted by pattern) followed
     by the rejected remainder; probabilities over the full list sum to 1.
-    Each outcome's terms are in ket order, the discard bucket's too; the
-    bucket's norm is summed over its rejected patterns in pattern order.
-    Takes one state, not a batch.
+    Each outcome's terms are in ket order, the discard bucket's too, and
+    each outcome's norm is summed over its terms in that order
+    (:func:`aomsim.engine.unit_rows`).  Takes one state, not a batch.
     """
     state = as_arrays(s)
     if state.amp.ndim > 1:

@@ -282,7 +282,8 @@ def as_arrays(s: StateVector | ArrayState, modes: Iterable[ModeLabel] = ()) -> A
     occ = np.zeros((len(s.terms), len(columns)), dtype=np.int8)
     occ[rows, cols] = counts
     amp = np.array(list(s.terms.values()), dtype=complex).reshape(len(s.terms))
-    return engine.ket_sorted(ArrayState(columns, occ, amp, s.non_unitary))
+    order = engine.ket_order(occ)
+    return ArrayState(columns, occ[order], amp[order], s.non_unitary)
 
 
 # Up to this many rows, Python lists handle an occupation matrix faster than

@@ -124,10 +124,10 @@ def test_herald_probabilities_match_the_loop(seed, terms, members, parts):
     amp *= 10.0 ** rng.choice([-200, 0, 150], size=(members, 1))
     amp[:, rng.integers(0, terms)] = complex(*parts) or 1e-200  # rows stay nonzero
     rule = HeraldRule([({"x", "y"}, 1)], discard_complement=bool(seed % 2))
-    _, summed, sizes, _ = _herald_plan(occ, modes, rule)  # the discard bucket pattern by pattern
+    order, sizes, _ = _herald_plan(occ, modes, rule)  # outcome by outcome, each in ket order
     bounds = np.cumsum([0] + sizes).tolist()
     want = [[square(reference_norm(values[a:b])) for a, b in zip(bounds, bounds[1:])]
-            for values in amp[:, summed].tolist()]
+            for values in amp[:, order].tolist()]
 
     def probabilities(index: np.ndarray) -> list:
         """Each member's outcome probabilities, from one herald of the members in ``index``."""
