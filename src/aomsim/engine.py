@@ -530,11 +530,14 @@ def source(spec, modes, alpha: float | list[float] | None = None) -> ArrayState:
     """Rows of ``cos(alpha)|arms> + sin(alpha)|alt>`` over ``modes``.
 
     ``alpha`` replaces ``spec.alpha``; a list of angles gives a batch with
-    one member per angle.  The two rows are in ket order, and a zero
-    amplitude drops its row, as ``StateVector`` drops zero terms.
+    one member per angle; an empty list raises :class:`SpecInvariantError`.
+    The two rows are in ket order, and a zero amplitude drops its row, as
+    ``StateVector`` drops zero terms.
     """
     batch = isinstance(alpha, list)
     angles = alpha if batch else [spec.alpha if alpha is None else alpha]
+    if not angles:
+        raise SpecInvariantError(f"{spec.name}: a batch needs at least one angle")
     _check_budget(2, f"{spec.name} source", len(angles))
     if not all(map(math.isfinite, angles)):
         raise SpecInvariantError(f"{spec.name}: alpha must be a finite number")

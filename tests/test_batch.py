@@ -1,6 +1,7 @@
 """Batches: many states over one occupation matrix, evolved bit for bit as their members."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,12 @@ from aomsim import (
     Convention,
     HeraldRule,
     SourceSpec,
+    SpecInvariantError,
+    compile_circuit,
     engine,
     make_aom,
+    make_source,
+    parse,
     run_ghz,
 )
 from aomsim.cli import main
@@ -23,6 +28,7 @@ from aomsim.experiments import _herald
 from aomsim.states import as_arrays
 from conftest import M, random_circuit
 
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 CONVENTIONS = (Convention.UNITARY, Convention.PAPER_LITERAL)
 
 # a zero source row, underflowing products and herald norms, cos(alpha) at its smallest
@@ -132,6 +138,18 @@ def test_source_splits_members_whose_zero_rows_differ():
     got = engine.in_batches(rows, len(alphas))
     want = [(len(s.occ), bits(s.amp)) for s in (engine.source(spec, modes, a) for a in alphas)]
     assert got == want
+
+
+def test_an_empty_batch_of_angles_is_a_spec_error():
+    spec = source_spec()
+    with pytest.raises(SpecInvariantError, match="at least one angle"):
+        make_source(spec, tuple(sorted(spec.arms + spec.alt)), [])
+    pipeline = compile_circuit(parse((CIRCUITS / "ghz.qc").read_text()))
+    with pytest.raises(SpecInvariantError, match="at least one angle"):
+        pipeline.run(None, [])
+    sweep = run_ghz([])  # no batch to evolve: an empty table
+    assert sweep.alpha == [] and len(sweep.success_probability) == len(sweep.fidelity) == 0
+    assert all(len(p) == 0 for p in sweep.per_detector.values())
 
 
 def test_batch_over_the_budget_is_chunked_and_a_single_state_raises(monkeypatch):
