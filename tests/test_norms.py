@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aomsim import FockKet, HeraldRule, NonFiniteError, engine, enumerate_outcomes
+from aomsim import (AomSpec, Convention, FockKet, HeraldRule, NonFiniteError, engine,
+                    enumerate_outcomes, make_aom)
 from aomsim.engine import ArrayState
 from aomsim.experiments import _herald, _herald_plan
 from aomsim.states import StateVector, as_arrays, ghz_fidelity
@@ -62,6 +63,11 @@ def reference_fidelity(a: complex, b: complex) -> float:
 
 def bits(x) -> list:
     return np.array(x, dtype=float).view(np.int64).tolist()
+
+
+def amp_bits(amp: np.ndarray) -> list:
+    """The bits of complex amplitudes, real and imaginary parts in turn."""
+    return bits(np.ascontiguousarray(amp).view(float))
 
 
 part = st.one_of(st.sampled_from(SPECIAL_PARTS),
@@ -184,16 +190,51 @@ def test_wide_batch_ghz_fidelity_matches_the_loop():
     assert bits(got) == bits(want)
 
 
-@pytest.mark.parametrize("tiny", [5e-324, 1e-323, 1e-320, 1e-310])
-def test_subnormal_norms_in_a_batch_and_a_herald_normalise(tiny):
-    """Members and outcomes of subnormal norm come out of norm 1; huge ones are not rescaled."""
-    amp = np.array([[tiny, tiny * 1j, -tiny], [1e150, -1e150j, 1e150]])
+# rows over (a@1, b@0, s@0), in ket order: a|s, a|b, b|s and s twice
+SUBNORMAL_MODES = (M("a", 1), M("b", 0), M("s", 0))
+SUBNORMAL_OCC = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1], [0, 0, 2]], dtype=np.int8)
+LITERAL_AOM = make_aom(AomSpec("A", M("a", 1), M("b", 0), "x", "y", shift=1, t_amp=0.6,
+                               phase_convention=Convention.PAPER_LITERAL))
+
+
+def normalised_by(caller: str, state: ArrayState) -> list[ArrayState]:
+    """The states that ``caller`` normalises from ``state``: one, or one per herald outcome."""
+    if caller == "filter_rows":
+        return [engine.filter_rows(state, "a", 0)[0]]  # keeps b|s and s twice
+    if caller == "lift":
+        modes = tuple(sorted(state.modes + LITERAL_AOM.output_modes))
+        widened = np.zeros((len(state.occ), len(modes)), dtype=np.int8)
+        widened[:, [modes.index(m) for m in state.modes]] = state.occ
+        return [engine.lift(ArrayState(modes, widened, state.amp), LITERAL_AOM)]
+    if caller == "normalize":
+        return [engine.normalize(state)]
+    return [rows for _, _, rows, _, _ in _herald(state, HeraldRule([({"a"}, 1)])) if rows]
+
+
+@pytest.mark.parametrize("tiny,caller", [
+    pytest.param(tiny, caller, id=str(tiny) if caller == "_herald" else f"{caller}-{tiny}")
+    for caller in ("filter_rows", "lift", "normalize", "_herald")
+    for tiny in (5e-324, 1e-323, 1e-320, 1e-310)])
+def test_subnormal_norms_in_a_batch_and_a_herald_normalise(tiny, caller):
+    """States and members of subnormal norm come out of norm 1, through every caller of the rescale.
+
+    Huge members are not rescaled, and a batch gets each member's bits.
+    """
+    amp = np.array([[tiny, tiny * 1j, -tiny, tiny], [1e150, -1e150j, 1e150, 1e150]])
     unit = [engine.norm(member) for member in engine.unit(amp)]
     assert unit == pytest.approx([1.0, 1.0], abs=1e-12)
-    modes = (M("s", 0), M("x", 0), M("y", 0))
-    occ = np.array([[1, 1, 0], [1, 0, 1], [2, 0, 0]], dtype=np.int8)
-    for _, _, rows, _, _ in _herald(ArrayState(modes, occ, amp), HeraldRule([({"x"}, 1)])):
-        assert [engine.norm(member) for member in rows.amp] == pytest.approx([1.0, 1.0], abs=1e-12)
+    for member in amp:  # each state alone
+        for state in normalised_by(caller, ArrayState(SUBNORMAL_MODES, SUBNORMAL_OCC, member)):
+            assert engine.norm(state.amp) == pytest.approx(1.0, abs=1e-12)
+
+    def members(index: np.ndarray) -> list:
+        states = normalised_by(caller, ArrayState(SUBNORMAL_MODES, SUBNORMAL_OCC, amp[index]))
+        return [[(s.occ.tobytes(), amp_bits(s.amp[i])) for s in states] for i in range(len(index))]
+
+    alone = [[(s.occ.tobytes(), amp_bits(s.amp)) for s in
+              normalised_by(caller, ArrayState(SUBNORMAL_MODES, SUBNORMAL_OCC, member))]
+             for member in amp]
+    assert engine.in_batches(members, len(amp)) == alone
 
 
 @pytest.mark.parametrize("values", [[1.5e308, 1.5e308], [math.inf, 1.0], [math.nan, 1.0],
