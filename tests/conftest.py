@@ -92,20 +92,22 @@ def random_circuit(rng: np.random.Generator, convention: Convention | None = Non
 
 
 @st.composite
-def circuit_texts(draw) -> str:
-    """Circuit text: 1-3 sources, AOMs on modes the circuit carries, filters, a herald, reports.
+def circuit_texts(draw, sources: tuple[int, int] = (1, 3), aoms: tuple[int, int] = (0, 3)) -> str:
+    """Circuit text: sources, AOMs on modes the circuit carries, filters, a herald, reports.
 
-    Report branches are drawn from the mode closure: the modes the sources
-    emit and the AOMs write.
+    The counts of sources and of AOM draws lie in the inclusive ranges
+    ``sources`` and ``aoms``; a drawn AOM whose inputs do not fit is left
+    out.  Report branches are drawn from the mode closure: the modes the
+    sources emit and the AOMs write.
     """
     lines, modes = [], []
-    for i in range(draw(st.integers(1, 3))):
+    for i in range(draw(st.integers(*sources))):
         emitted = [(f"s{i}{k}", draw(st.integers(0, 2))) for k in range(4)]
         arms, alt = (",".join(f"{p}@{b}" for p, b in pair) for pair in (emitted[:2], emitted[2:]))
         alpha = draw(st.sampled_from([0.0, 0.3, math.pi / 4, 1.2, 1e-200]))
         lines.append(f"source S{i} arms=({arms}) alt=({alt}) alpha={alpha!r}")
         modes += emitted
-    for j in range(draw(st.integers(0, 3))):
+    for j in range(draw(st.integers(*aoms))):
         lo, hi = sorted((draw(st.sampled_from(modes)), draw(st.sampled_from(modes))),
                         key=lambda m: m[1])
         if lo[0] == hi[0] or lo[1] == hi[1]:  # an AOM needs two paths, one bin apart or more
