@@ -375,15 +375,16 @@ def _lifted(amp: np.ndarray) -> np.ndarray:
 
 def unit(amp: np.ndarray, sizes: list[int] | None = None, n: np.ndarray | None = None
          ) -> np.ndarray:
-    """``amp`` with each span of terms over the span's norm ``n`` (:func:`span_norms`).
+    """``amp`` with each span of terms over the span's norm.
 
     ``sizes`` counts the terms of consecutive spans, by default one span of
-    every term.  Raises :class:`ZeroStateError` for a span with terms whose
-    norm is 0, or for no terms at all without ``sizes``; an empty span, such
-    as an empty discard bucket, is left alone.  A norm below the smallest
-    normal float has lost its significant bits, so the terms of that span
-    are scaled by an exact power of two and divided by the norm of the
-    scaled span; only those are scaled.
+    every term, and ``n`` holds the span norms as :func:`span_norms` returns
+    them (taken from ``amp`` if not given).  Raises :class:`ZeroStateError`
+    for a span with terms whose norm is 0, or for no terms at all without
+    ``sizes``; an empty span, such as an empty discard bucket, is left
+    alone.  A norm below the smallest normal float has lost its significant
+    bits, so the terms of that span are scaled by an exact power of two and
+    divided by the norm of the scaled span; only those are scaled.
     """
     if sizes is None:
         if not amp.shape[-1]:

@@ -272,10 +272,10 @@ def restrict_to_paths(s: StateVector | ArrayState, keep: set[str] | frozenset[st
 
 
 def _combined_accepted(state: ArrayState, rule: HeraldRule) -> ArrayState | None:
-    """The rows of ``state`` whose herald pattern ``rule`` accepts, renormalized; None if none is.
+    """The rows of ``state`` whose herald pattern ``rule`` accepts, renormalized, or None.
 
-    The rows stay in the state's ket order, so the combined state is the
-    coherent sum of the accepted outcomes, each weighted by its amplitude.
+    This is the coherent sum of the accepted outcomes, each with its own
+    weight; the rows keep the state's ket order.
     """
     ids, _, _, accepted = engine.herald_groups(state.occ, state.modes, rule.paths(), rule.clauses)
     keep = accepted[ids]
