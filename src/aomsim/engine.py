@@ -15,16 +15,15 @@ Complex products and quotients are written out in real parts exactly as
 Python evaluates them, so amplitudes are bit-identical to a ket-by-ket
 evolution with Python complex numbers.
 
-Norms are summed in one numpy pass over every member (or every outcome):
-each square is ``np.float_power(np.hypot(re, im), 2.0)``, which is Python's
+Every floating-point sum in the engine is one ``np.bincount`` with
+weights, which adds each bin's values from 0.0 in input order, as
+``total += x`` adds them: the lift's merge of duplicate rows, the norms of
+spans of rows (:func:`span_norms`) and the photon-count probabilities.  A
+norm's squares are ``np.float_power(np.hypot(re, im), 2.0)``, Python's
 ``abs(a) ** 2`` bit for bit (``np.abs`` and ``x * x`` round differently in
-the last bit), and the squares are added left to right by
-``np.add.accumulate``, as ``total += x`` adds them.  The norm and the
-probability ``norm ** 2`` then have the bits of that Python loop, and the
-order of the sum does not depend on the Python version (the built-in
-``sum`` compensates from Python 3.12).  A sum that underflows or overflows
-is taken again over the amplitudes scaled by their largest magnitude; a
-norm that is still not finite raises :class:`NonFiniteError`.
+the last bit), so a norm and the probability ``norm ** 2`` have the bits
+of that Python loop on any Python version (the built-in ``sum``
+compensates from Python 3.12).
 
 One routine rescales to unit norm, :func:`unit`, span by span (a state, or
 each outcome of a herald); :func:`unit_rows`, which also drops the rows that
@@ -267,42 +266,6 @@ def _squares(amp: np.ndarray) -> np.ndarray:
     return np.float_power(mag, 2.0)
 
 
-def _sums(sq: np.ndarray) -> np.ndarray:
-    """Sums of ``sq[..., terms]`` over the terms, each added left to right.
-
-    ``np.add.accumulate`` adds in order, as ``total += x`` does on every
-    Python version (``np.sum`` adds pairwise, and Python 3.12's ``sum``
-    compensates).
-    """
-    if not sq.shape[-1]:
-        return np.zeros(sq.shape[:-1])
-    sums = np.add.accumulate(sq, axis=-1)
-    return sums[-1] if sums.ndim == 1 else sums[..., -1]  # a numpy float, not a 0-d array
-
-
-def _roots(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square roots of sums of squares, and which of the sums neither under- nor overflowed."""
-    return np.sqrt(total), (total >= _SMALLEST_NORMAL) & (total <= _LARGEST)
-
-
-def _rescaled(amp: np.ndarray, n: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """``n`` where ``fine``, elsewhere the norm of ``amp[..., terms]`` summed on a rescaled state.
-
-    A sum of squares that underflowed (or overflowed) is summed again over
-    the magnitudes divided by their largest one, as ``np.abs`` gives it,
-    and the root is scaled back, so a tiny or huge nonzero state keeps its
-    precision.  Raises :class:`NonFiniteError` if a norm is still not a
-    finite number.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        peak = np.abs(amp).max(axis=-1, initial=0.0)
-        ratio = np.hypot(amp.real, amp.imag) / peak[..., None]
-        n = np.where(fine | (peak == 0.0), n, peak * np.sqrt(_sums(np.float_power(ratio, 2.0))))
-    if not np.isfinite(n).all():
-        raise NonFiniteError("the norm of a state is not a finite number")
-    return n
-
-
 def norm(amp: np.ndarray) -> float | list[float]:
     """Euclidean norm, squares summed in row order, as ``StateVector.norm`` sums its terms.
 
@@ -313,45 +276,40 @@ def norm(amp: np.ndarray) -> float | list[float]:
     return span_norms(amp, [amp.shape[-1]])[..., 0].tolist()
 
 
-@lru_cache(maxsize=256)
-def _span_plan(sizes: tuple[int, ...]) -> tuple:
-    """Per distinct nonzero span length: the spans of that length and the indices of their terms.
-
-    Memoised only for at most ``_MEMO_ROWS`` terms in all (see :func:`span_norms`).
-    """
-    sizes = np.array(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    plan = []
-    for size in sorted(set(sizes.tolist()) - {0}):
-        spans = np.flatnonzero(sizes == size)
-        plan.append((spans, starts[spans, None] + np.arange(size)))
-    return _read_only(tuple(plan))
-
-
 def span_norms(amp: np.ndarray, sizes: list[int]) -> np.ndarray:
     """Norms of consecutive spans of the terms, ``sizes[i]`` terms in span ``i``.
 
     Returns ``amp.shape[:-1] + (len(sizes),)``: a row of span norms per
-    member of a batch.  The squares are taken once for every term, and the
-    spans of one length are summed in one pass.  Each norm has the bits of
-    ``math.sqrt`` of a left-to-right sum of Python's ``abs(a) ** 2`` on any
-    Python version; a sum that underflows or overflows is redone on the
-    span scaled by its largest magnitude, so a tiny nonzero span never has
-    norm 0 and a huge one never overflows; a norm past the largest float,
-    or of an infinite or NaN amplitude, raises :class:`NonFiniteError`.  An
-    empty span has norm 0.
+    member of a batch.  Each term's square gets the id of its span, offset
+    by ``member * len(sizes)`` in a batch, and one ``np.bincount`` adds them
+    all in order, so each norm has the bits of ``math.sqrt`` of a
+    left-to-right sum of Python's ``abs(a) ** 2`` on any Python version.  A
+    nonempty span whose sum underflows or overflows is summed again, by a
+    second ``np.bincount``, over the squared ratios to the span's own
+    largest magnitude, so a tiny nonzero span never has norm 0 and a huge
+    one never overflows; a norm past the largest float, or of an infinite
+    or NaN amplitude, raises :class:`NonFiniteError`.  An empty span has
+    norm 0.
     """
-    sq = _squares(amp)
-    sizes = tuple(sizes)
-    plan = (_span_plan if sum(sizes) <= _MEMO_ROWS else _span_plan.__wrapped__)(sizes)
-    total = np.zeros(amp.shape[:-1] + (len(sizes),))
-    for spans, index in plan:
-        total[..., spans] = _sums(select(sq, index))
-    n, fine = _roots(total)
-    if not fine.all():
-        for spans, index in plan:
-            if not fine[..., spans].all():
-                n[..., spans] = _rescaled(select(amp, index), n[..., spans], fine[..., spans])
+    members, spans = _batch_size(amp), len(sizes)
+    ids = np.repeat(np.arange(spans), sizes)
+    if amp.ndim > 1:
+        ids = (ids + spans * np.arange(members)[:, None]).ravel()
+    shape = amp.shape[:-1] + (spans,)
+    total = np.bincount(ids, _squares(amp).ravel(), members * spans)
+    n = np.sqrt(total).reshape(shape)
+    fine = ((total >= _SMALLEST_NORMAL) & (total <= _LARGEST)).reshape(shape) | np.equal(sizes, 0)
+    if fine.all():
+        return n
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        peak = np.zeros(members * spans)
+        np.maximum.at(peak, ids, np.abs(amp).ravel())
+        ratio = np.hypot(amp.real, amp.imag).ravel() / peak[ids]
+        scaled = np.bincount(ids, np.float_power(ratio, 2.0), members * spans)
+        peak = peak.reshape(shape)
+        n = np.where(fine | (peak == 0.0), n, peak * np.sqrt(scaled.reshape(shape)))
+    if not np.isfinite(n).all():
+        raise NonFiniteError("the norm of a state is not a finite number")
     return n
 
 
@@ -378,13 +336,14 @@ def unit(amp: np.ndarray, sizes: list[int] | None = None, n: np.ndarray | None =
     """``amp`` with each span of terms over the span's norm.
 
     ``sizes`` counts the terms of consecutive spans, by default one span of
-    every term, and ``n`` holds the span norms as :func:`span_norms` returns
-    them (taken from ``amp`` if not given).  Raises :class:`ZeroStateError`
-    for a span with terms whose norm is 0, or for no terms at all without
-    ``sizes``; an empty span, such as an empty discard bucket, is left
-    alone.  A norm below the smallest normal float has lost its significant
-    bits, so the terms of that span are scaled by an exact power of two and
-    divided by the norm of the scaled span; only those are scaled.
+    every term, and ``n`` holds the span norms as :func:`span_norms` sums
+    them, in order by one ``np.bincount`` (taken from ``amp`` if not
+    given).  Raises :class:`ZeroStateError` for a span with terms whose
+    norm is 0, or for no terms at all without ``sizes``; an empty span, such
+    as an empty discard bucket, is left alone.  A norm below the smallest
+    normal float has lost its significant bits, so the terms of that span
+    are scaled by an exact power of two and divided by the norm of the
+    scaled span, summed by the same ``np.bincount``; only those are scaled.
     """
     if sizes is None:
         if not amp.shape[-1]:

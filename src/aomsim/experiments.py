@@ -46,7 +46,6 @@ from .states import (
     as_state,
     entanglement_entropy,
     ghz_fidelity,
-    normalize,
     reduced_density,
     tensor,
 )
@@ -334,7 +333,7 @@ def run_swap(alpha: float = math.pi / 4, convention: Convention = Convention.UNI
         metrics["output_purity"] = reduced_density(combined, output_paths).purity()
         # the in-phase superposition of the two kets each resolved herald leaves on the pair
         kets = sorted({k for pair in pair_states.values() for k in pair.terms})
-        target = normalize(StateVector(dict.fromkeys(kets, 1.0)))
+        target = StateVector(dict.fromkeys(kets, 1.0 / math.sqrt(len(kets))))
         metrics["pair_block_fidelity"] = reduced_density(combined, pair_paths).fidelity(target)
     return SwapResult(
         alpha=alpha,

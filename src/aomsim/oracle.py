@@ -36,7 +36,11 @@ def permanent(a: np.ndarray) -> complex:
 
 
 def _permanents_stacked(stack: np.ndarray) -> np.ndarray:
-    """Ryser permanents of a (R, p, p) stack, vectorized over the first axis."""
+    """Ryser permanents of a (R, p, p) stack, vectorized over the first axis.
+
+    A matrix with an all-zero row or column has permanent exactly 0, where
+    Ryser's signed sum would leave rounding noise.
+    """
     r, p, _ = stack.shape
     if p == 0:
         return np.ones(r, dtype=complex)
@@ -45,6 +49,8 @@ def _permanents_stacked(stack: np.ndarray) -> np.ndarray:
         cols = [j for j in range(p) if mask >> j & 1]
         sign = -1.0 if (p - len(cols)) % 2 else 1.0
         out += sign * stack[:, :, cols].sum(axis=2).prod(axis=1)
+    zero = stack == 0
+    out[zero.all(axis=2).any(axis=1) | zero.all(axis=1).any(axis=1)] = 0j
     return out
 
 

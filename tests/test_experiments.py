@@ -32,7 +32,7 @@ from aomsim import (
 from aomsim.dsl import Pipeline
 from aomsim.engine import ArrayState
 from aomsim.experiments import _herald
-from aomsim.states import as_arrays
+from aomsim.states import as_arrays, reduced_density
 from conftest import (GHZ_BRANCH_A, GHZ_BRANCH_B, M, ghz_aom, random_circuit, random_state,
                       swap_aoms, swap_sources)
 
@@ -250,6 +250,24 @@ def test_swap_unitary_unresolved_view_is_mixed():
     assert result.metrics["unresolved_split_entropy"] == pytest.approx(1.0, abs=1e-9)
     assert result.metrics["output_purity"] == pytest.approx(0.5, abs=1e-9)
     assert result.metrics["pair_block_fidelity"] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("convention", [Convention.UNITARY, Convention.PAPER_LITERAL])
+@pytest.mark.parametrize("alpha", [math.pi / 4, 0.6, 1e-200])
+def test_swap_fidelity_target_has_the_bits_of_normalize(convention, alpha):
+    """The pair-block target, ``1 / sqrt(n)`` on each of its n kets, is ``normalize`` of all ones."""
+    result = run_swap(alpha=alpha, convention=convention)
+    kets = sorted({k for pair in result.pair_states.values() for k in pair.terms})
+    direct = StateVector(dict.fromkeys(kets, 1.0 / math.sqrt(len(kets))))
+    normalized = normalize(StateVector(dict.fromkeys(kets, 1.0)))
+    assert len(kets) == 2 and sorted(normalized.terms) == kets
+
+    def bits(s: StateVector) -> list:
+        return np.array([s.terms[k] for k in kets]).view(np.int64).tolist()
+
+    assert bits(direct) == bits(normalized)
+    want = reduced_density(result.combined_state, {"1", "1'", "4", "4'"}).fidelity(normalized)
+    assert repr(result.metrics["pair_block_fidelity"]) == repr(want)  # repr round-trips a float
 
 
 def test_swap_magnitudes_are_convention_independent():

@@ -2,7 +2,7 @@
 Python sum.
 
 The engine sums squared magnitudes with numpy (``np.hypot``,
-``np.float_power``, ``np.add.accumulate``).  The references below do the
+``np.float_power``, ``np.bincount``).  The references below do the
 same arithmetic one Python float at a time: ``abs(a) ** 2`` added with
 ``total += x``, so their order is fixed on every Python version (the
 built-in ``sum`` compensates from Python 3.12).  Every result must agree
@@ -103,6 +103,28 @@ def test_norm_of_long_states_and_wide_batches_matches_the_loop(members, length):
     want = [reference_norm(r) for r in batch.tolist()]
     assert bits(engine.norm(batch)) == bits(want)
     assert [bits(engine.norm(member)) for member in batch] == [bits(n) for n in want]
+
+
+def test_span_norms_of_mixed_scales_in_one_member_match_the_loop():
+    """Tiny, huge and normal spans side by side in each member, with empty spans between.
+
+    Each span that under- or overflows is rescaled by its own largest
+    magnitude: one member's peak would turn its tiny span's norm to 0.
+    """
+    sizes = [0, 3, 0, 4, 0, 0, 5, 2, 0]
+    scales = np.array([[1.0, 1e-200, 1.0, 1e200, 1.0, 1.0, 1.0, 1e-170, 1.0],
+                       [1.0, 1e200, 1.0, 1.0, 1.0, 1.0, 1e-200, 1e150, 1.0],
+                       [1.0, 1.0, 1.0, 1e-300, 1.0, 1.0, 1e200, 1.0, 1.0]])
+    rng = np.random.default_rng(11)
+    terms = sum(sizes)
+    amp = (rng.normal(size=(3, terms)) + 1j * rng.normal(size=(3, terms))) * np.repeat(
+        scales, sizes, axis=1)
+    bounds = np.cumsum([0] + sizes).tolist()
+    want = [[reference_norm(row[a:b]) for a, b in zip(bounds, bounds[1:])]
+            for row in amp.tolist()]
+    assert all(n > 0.0 for row in want for n, size in zip(row, sizes) if size)
+    assert bits(engine.span_norms(amp, sizes)) == bits(want)
+    assert [bits(engine.span_norms(member, sizes)) for member in amp] == [bits(w) for w in want]
 
 
 def test_squared_norms_match_python():

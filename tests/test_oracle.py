@@ -21,6 +21,7 @@ from aomsim import (
     normalize,
     permanent,
 )
+from aomsim.oracle import _permanents_stacked
 from conftest import M, max_amplitude_dev, random_circuit
 
 
@@ -42,6 +43,34 @@ def test_permanent_matches_permutation_sum(n):
 def test_permanent_known_values():
     assert permanent(np.array([[1.0, 2.0], [3.0, 4.0]])) == pytest.approx(10.0)
     assert permanent(np.eye(4)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_permanent_with_a_zero_row_or_column_is_exactly_zero(axis):
+    """Ryser's signed sum leaves rounding noise on about half of these with a zero column."""
+    rng = np.random.default_rng(axis)
+    stack = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
+    zeroed = stack.copy()
+    line = rng.integers(0, 4, 200)
+    if axis == 1:
+        zeroed[np.arange(200), line, :] = 0.0
+    else:
+        zeroed[np.arange(200), :, line] = 0.0
+    assert [permanent(a) for a in zeroed] == [0j] * 200
+    mixed = np.concatenate([zeroed, stack])
+    assert _permanents_stacked(mixed).tolist() == [0j] * 200 + [permanent(a) for a in stack]
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("t_amp", [0.41, 0.6, 0.77])
+@pytest.mark.parametrize("photons", [[M("a", 1), M("b", 0), M("s", 0)],
+                                     [M("a", 1), M("a", 1), M("s", 0), M("s", 1)]])
+def test_oracle_lists_no_ket_the_element_cannot_reach(convention, t_amp, photons):
+    """An output ket that no input photon reaches has a zero row or column in its permanent."""
+    op = make_aom(AomSpec("A", M("a", 1), M("b", 0), "x", "y", t_amp=t_amp,
+                          phase_convention=convention))
+    s = ket(photons)
+    assert set(dense_oracle_apply(s, op).terms) == set(apply_element(s, op).terms)
 
 
 def test_identity_element_leaves_state_unchanged():
