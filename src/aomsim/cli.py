@@ -9,10 +9,15 @@ keys, floats at 12 significant digits.
 
 A run report is encoded in one batch from the engine's rows of the outcome
 states (``HeraldOutcome.rows``), never from kets: the rows are read in the
-order the outcomes hold them, which is ket order (the herald orders them),
-each ``[path,bin,n]`` fragment and each distinct amplitude is encoded once,
-each outcome's head comes from one format string, and the compact text is
-assembled from small ``json.dumps`` pieces with sorted keys.  ``--pretty``
+order the outcomes hold them, which is ket order (the herald orders them).
+One pass over the concatenated rows lists the ``[path,bin,n]`` fragment of
+every occupied cell, each distinct fragment and each distinct amplitude bit
+pattern encoded once, and each term is one format string that joins its
+row's fragments.  Outcome heads come from one ``%`` template per sorted
+tuple of metric keys; a report of at most ``states._FEW_ROWS`` terms takes
+Python loops instead, which cost less than numpy's fixed cost per call
+there.  The compact text is assembled from those pieces and small
+``json.dumps`` pieces with sorted keys, in one join.  ``--pretty``
 re-indents that text; float reprs round-trip, so only whitespace changes.
 """
 
@@ -30,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine
+from . import engine, states
 from .dsl import Pipeline, PipelineResult, compile_circuit, parse
 from .elements import Convention
 from .errors import CompileError, SimulatorError
@@ -71,10 +76,19 @@ def _compact(obj) -> str:
 
 
 def _floats_json(x: np.ndarray) -> list[str]:
-    """Each (finite) float rounded to 12 significant digits, as JSON; each value encoded once."""
-    texts: dict[int, str] = {}  # keyed by bit pattern, which keeps -0.0 apart from 0.0
-    return [texts[b] if b in texts else texts.setdefault(b, repr(_sig12(v)))
-            for b, v in zip(x.view(np.int64).tolist(), x.tolist())]
+    """Each (finite) float rounded to 12 significant digits, as JSON; each value encoded once.
+
+    Values are told apart by bit pattern, which keeps -0.0 apart from 0.0:
+    by a dict for the parts of at most ``states._FEW_ROWS`` amplitudes,
+    else by one ``np.unique``.
+    """
+    if len(x) <= 2 * states._FEW_ROWS:
+        texts: dict[int, str] = {}
+        return [texts[b] if b in texts else texts.setdefault(b, repr(_sig12(v)))
+                for b, v in zip(x.view(np.int64).tolist(), x.tolist())]
+    _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
+    distinct = np.array([repr(_sig12(v)) for v in x[first].tolist()], dtype=object)
+    return distinct[inverse].tolist()
 
 
 def _head(o: HeraldOutcome) -> str:
@@ -90,9 +104,32 @@ def _head(o: HeraldOutcome) -> str:
             f'"probability":{_sig12(o.probability)!r}')
 
 
+def _head_template(keys: tuple[str, ...]) -> str:
+    """:func:`_head` as a ``%`` template over accepted, label, the metrics of ``keys`` and probability."""
+    metrics = ",".join(encode_basestring_ascii(k).replace("%", "%%") + ":%s" for k in keys)
+    return '{"accepted":%s,"label":%s,"metrics":{' + metrics + '},"probability":%s'
+
+
+def _heads(outcomes: list[HeraldOutcome]) -> list[str]:
+    """:func:`_head` of every outcome: one template per sorted tuple of metric keys, floats encoded once."""
+    keys = [tuple(sorted(o.metrics)) for o in outcomes]
+    values = [v for o, k in zip(outcomes, keys) for v in (*map(o.metrics.__getitem__, k),
+                                                           o.probability)]
+    texts = _floats_json(np.array(values, dtype=float))
+    templates: dict[tuple[str, ...], str] = {}
+    out = []
+    end = 0
+    for o, k in zip(outcomes, keys):
+        template = templates[k] if k in templates else templates.setdefault(k, _head_template(k))
+        start, end = end, end + len(k) + 1
+        out.append(template % ("true" if o.accepted else "false",
+                               encode_basestring_ascii(o.label), *texts[start:end]))
+    return out
+
+
 def _fragment(mode, n: int) -> str:
     """``[path,bin,n]`` as compact JSON."""
-    return f"[{_ENCODER.encode(mode[0])},{mode[1]},{n}]"
+    return f"[{encode_basestring_ascii(mode[0])},{mode[1]},{n}]"
 
 
 def _terms_json(outcomes: list[HeraldOutcome]) -> list[str]:
@@ -100,32 +137,40 @@ def _terms_json(outcomes: list[HeraldOutcome]) -> list[str]:
 
     The rows of all states are encoded in one batch, on shared columns (the
     outcomes of one herald share theirs already), in the order the outcomes
-    hold them: ket order, as the herald lists them.  Each term starts with
-    what precedes it in its state's list: ``[`` for the first term, ``,``
-    for the others.  Amplitudes are rounded to 12 significant digits.
+    hold them: ket order, as the herald lists them.  The ``[path,bin,n]``
+    fragments of every occupied cell come from one pass over the rows
+    (:func:`aomsim.states.row_pieces`), and each row's ``modes`` text is
+    joined inside its term's format string.  Each term starts with what
+    precedes it in its state's list: ``[`` for the first term, ``,`` for the
+    others.  Amplitudes are rounded to 12 significant digits.
     """
-    states = shared_columns([o.rows for o in outcomes if o.rows is not None])
-    if not states:
+    arrays = shared_columns([o.rows for o in outcomes if o.rows is not None])
+    if not arrays:
         return []
-    occ = np.concatenate([s.occ for s in states])
-    amp = np.concatenate([s.amp for s in states])
+    occ = np.concatenate([s.occ for s in arrays])
+    amp = np.concatenate([s.amp for s in arrays])
     # each term's lead, one character per term
-    leads = "".join("[" + "," * (len(s.amp) - 1) for s in states if len(s.amp))
-    return [f'{lead}{{"im":{im},"modes":[{m}],"re":{re}}}'
-            for lead, re, im, m in zip(leads, _floats_json(amp.real), _floats_json(amp.imag),
-                                       map(",".join, row_pieces(states[0].modes, occ, _fragment)))]
+    leads = "".join("[" + "," * (len(s.amp) - 1) for s in arrays if len(s.amp))
+    parts = _floats_json(amp.view(np.float64))  # real and imaginary part of each term in turn
+    pieces, ends = row_pieces(arrays[0].modes, occ, _fragment)
+    return [f'{lead}{{"im":{im},"modes":[{",".join(pieces[a:b])}],"re":{re}}}'
+            for lead, re, im, a, b in zip(leads, parts[::2], parts[1::2], [0, *ends], ends)]
 
 
 def _outcomes_json(outcomes: list[HeraldOutcome]) -> list[str]:
     """The report's ``outcomes`` list as pieces of text, to be joined once.
 
     A report is mostly its outcome states' terms; keeping each term a piece
-    of its own builds the report in one join, with no per-state copy.
+    of its own builds the report in one join, with no per-state copy.  The
+    outcome heads of a report of at most ``states._FEW_ROWS`` terms are
+    formatted one by one, those of a larger one by :func:`_heads`.
     """
-    terms = iter(_terms_json(outcomes))
+    terms = _terms_json(outcomes)
+    heads = map(_head, outcomes) if len(terms) <= states._FEW_ROWS else _heads(outcomes)
+    terms = iter(terms)
     pieces = ["["]
-    for i, o in enumerate(outcomes):
-        pieces.append(f'{"," if i else ""}{_head(o)},"state":')  # "state" sorts last
+    for i, (o, head) in enumerate(zip(outcomes, heads)):
+        pieces.append(f'{"," if i else ""}{head},"state":')  # "state" sorts last
         if o.rows is None:
             pieces.append("null}")
         elif len(o.rows.amp):

@@ -104,8 +104,12 @@ TERM_BUDGET = 1 << 20
 """Most rows (terms) one step may allocate, counted over every member of a batch.
 
 The largest step of a k=7 swap chain holds 235,298 rows over 52 modes; a
-k=8 chain would pass the budget.  At 2^20 rows and 100 modes the occupation
-matrix alone takes 100 MB, and 2^20 amplitudes take 16 MB.
+k=8 chain would pass the budget.  That step's lift peaks at 143 MB of
+traced allocations, 637 bytes per output row (about 12 per row and mode),
+where its occupation matrix takes 52 bytes per row; about half of it is
+the int64 copy of the key matrix that :func:`_pack` multiplies.  At 2^20
+rows and 100 modes the occupation matrix alone takes 100 MB, 2^20
+amplitudes take 16 MB, and a lift at that rate would peak near 1.3 GB.
 """
 
 MAX_OCCUPATION = int(np.iinfo(np.int8).max)
@@ -355,7 +359,9 @@ def unit(amp: np.ndarray, sizes: list[int] | None = None, n: np.ndarray | None =
     if n.min(initial=math.inf) >= _SMALLEST_NORMAL:
         return _cmul(amp, 1.0 / n + 0j)
     tiny = n < _SMALLEST_NORMAL  # 1 / n would overflow
-    up = _lifted(np.where(tiny, amp, 0j))  # the other spans could overflow
+    # the other spans' terms lift to 1.0: lifted as they are they could overflow, and
+    # zeroed they would read as underflowed and be summed again
+    up = _lifted(np.where(tiny, amp, 1.0 / _UP))
     up_n = np.repeat(span_norms(up, sizes), sizes, axis=-1)
     return np.where(tiny, _cdiv(up, np.where(tiny, up_n, 1.0)),
                     _cmul(amp, 1.0 / np.maximum(n, _SMALLEST_NORMAL) + 0j))

@@ -37,8 +37,8 @@ import numpy as np
 from . import engine
 from .engine import ArrayState
 from .errors import FactorizationError
-# apply_element, apply_filter, make_source, tensor and ghz_fidelity go unused here but stay
-# bound, since bench/tracing.py wraps each by name in this module
+# apply_element, apply_filter, make_source, tensor, entanglement_entropy and ghz_fidelity go
+# unused here but stay bound, since bench/tracing.py wraps each by name in this module
 from .elements import AomSpec, Convention, apply_element, apply_filter, make_source
 from .states import (
     StateVector,
@@ -328,13 +328,14 @@ def run_swap(alpha: float = math.pi / 4, convention: Convention = Convention.UNI
     combined = _combined_accepted(run.final, pipeline.herald)
     metrics: dict[str, float] = {"success_probability": run.success_probability}
     if combined is not None:
-        metrics["unresolved_split_entropy"] = entanglement_entropy(combined, pair_paths)
+        pair_rho = reduced_density(combined, pair_paths)  # formed once, for entropy and fidelity
+        metrics["unresolved_split_entropy"] = pair_rho.entropy()
         output_paths = frozenset(pipeline.herald.paths())
         metrics["output_purity"] = reduced_density(combined, output_paths).purity()
         # the in-phase superposition of the two kets each resolved herald leaves on the pair
         kets = sorted({k for pair in pair_states.values() for k in pair.terms})
         target = StateVector(dict.fromkeys(kets, 1.0 / math.sqrt(len(kets))))
-        metrics["pair_block_fidelity"] = reduced_density(combined, pair_paths).fidelity(target)
+        metrics["pair_block_fidelity"] = pair_rho.fidelity(target)
     return SwapResult(
         alpha=alpha,
         convention=convention,

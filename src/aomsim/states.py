@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -239,6 +240,10 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
+    def entropy(self) -> float:
+        """Von Neumann entropy in bits, as :func:`entanglement_entropy` gives it for this matrix."""
+        return _entropy(self.eigenvalues().tolist())
+
     def fidelity(self, pure: StateVector) -> float:
         """Overlap <psi|rho|psi> with a pure state on the same mode space."""
         v = np.array([pure.amplitude(k) for k in self.basis], dtype=complex)
@@ -291,39 +296,40 @@ def as_arrays(s: StateVector | ArrayState, modes: Iterable[ModeLabel] = ()) -> A
 _FEW_ROWS = 32
 
 
-def row_pieces(modes: tuple[ModeLabel, ...], occ: np.ndarray, piece) -> list[list]:
-    """Each occupation row as its list of ``piece(mode, n)``, one per occupied column in order.
+def row_pieces(modes: tuple[ModeLabel, ...], occ: np.ndarray, piece) -> tuple[list, list[int]]:
+    """Every occupied cell as ``piece(mode, n)``, row after row, and where each row's pieces end.
 
-    ``piece`` is called once per distinct ``(column, count)`` and rows share
-    its results; rows with the same number of occupied columns are gathered
-    in one block.
+    Row ``i`` holds ``pieces[ends[i - 1]:ends[i]]`` (from 0 for row 0), one
+    piece per occupied column in order.  ``piece`` is called once per
+    distinct ``(column, count)`` and cells share its results.  Beyond
+    ``_FEW_ROWS`` rows the occupied cells are found in one pass over the
+    flattened matrix, coded ``column * 128 + count``, and each row's end is
+    a running count of its cells.
     """
     if len(occ) <= _FEW_ROWS:
         made: dict = {}
-        return [[made[c, n] if (c, n) in made else made.setdefault((c, n), piece(modes[c], n))
-                 for c, n in enumerate(row) if n] for row in occ.tolist()]
-    rows, cols = np.nonzero(occ)
-    base = engine.MAX_OCCUPATION + 1
-    codes = cols * base + occ[rows, cols]
-    pieces = np.empty(len(modes) * base, dtype=object)
-    for c in np.flatnonzero(np.bincount(codes, minlength=len(pieces))).tolist():
-        pieces[c] = piece(modes[c // base], c % base)
-    flat = pieces[codes]
-    lengths = np.bincount(rows, minlength=len(occ))
-    starts = np.cumsum(lengths) - lengths
-    out: list = [None] * len(occ)
-    for n in np.flatnonzero(np.bincount(lengths)).tolist():  # rows with n pieces, one block
-        chosen = np.flatnonzero(lengths == n)
-        for i, row in zip(chosen.tolist(), flat[starts[chosen][:, None] + np.arange(n)].tolist()):
-            out[i] = row
-    return out
+        rows = occ.tolist()
+        return ([made[c, n] if (c, n) in made else made.setdefault((c, n), piece(modes[c], n))
+                 for row in rows for c, n in enumerate(row) if n],
+                list(accumulate(len(row) - row.count(0) for row in rows)))
+    width, base = occ.shape[1], engine.MAX_OCCUPATION + 1
+    cells = occ.ravel()
+    flat = np.flatnonzero(cells != 0)
+    rows = flat // width
+    codes = (flat - rows * width) * base + cells[flat]
+    table = np.empty(width * base, dtype=object)
+    for c in np.flatnonzero(np.bincount(codes, minlength=len(table))).tolist():
+        table[c] = piece(modes[c // base], c % base)
+    return table[codes].tolist(), np.cumsum(np.bincount(rows, minlength=len(occ))).tolist()
 
 
 def kets(modes: tuple[ModeLabel, ...], occ: np.ndarray) -> list[FockKet]:
     """One ket per occupation row, built in one batch; kets share their pairs."""
     new, set_pairs, set_hash = object.__new__, FockKet._pairs.__set__, FockKet._hash.__set__
+    pairs, ends = row_pieces(modes, occ, lambda mode, n: (mode, n))
     out = []
-    for ket_pairs in map(tuple, row_pieces(modes, occ, lambda mode, n: (mode, n))):
+    for a, b in zip([0, *ends], ends):
+        ket_pairs = tuple(pairs[a:b])
         k = new(FockKet)
         set_pairs(k, ket_pairs)
         set_hash(k, hash(ket_pairs))
@@ -474,10 +480,17 @@ def entanglement_entropy(s: StateVector | ArrayState | list, partition: set[str]
         chosen = np.flatnonzero(dims == d)
         stack = rho[base[chosen, None] + np.arange(d * d)].reshape(-1, d, d)
         for i, lam in zip(chosen.tolist(), np.linalg.eigvalsh(stack).tolist()):
-            for v in lam:
-                if v > _EIGEN_TOL and abs(v - 1.0) > _EIGEN_TOL:
-                    out[i] -= v * math.log2(v)
+            out[i] = _entropy(lam)
     return out if many else out[0]
+
+
+def _entropy(eigenvalues: list[float]) -> float:
+    """``-sum(v log2 v)`` in order, less the eigenvalues within ``_EIGEN_TOL`` of 0 or of 1."""
+    out = 0.0
+    for v in eigenvalues:
+        if v > _EIGEN_TOL and abs(v - 1.0) > _EIGEN_TOL:
+            out -= v * math.log2(v)
+    return out
 
 
 @engine.memo_small

@@ -1,6 +1,9 @@
 """The array engine: step-by-step agreement with the dense oracle, row order, budgets."""
 
 import math
+import tracemalloc
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +251,36 @@ def test_cli_exits_1_when_a_chain_exceeds_the_term_budget(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "budget" in err and "Traceback" not in err
+
+
+LIFT_PEAK_BYTES_PER_CELL = 14.0
+"""Bound on a lift's peak traced allocation per output cell (rows times columns).
+
+Measured at 12.8 on the last lift of ``tests/golden/chain5.qc`` (2,744 rows
+in, 4,802 rows out, 36 columns); about half of it is the int64 copy of the
+key matrix that ``engine._pack`` multiplies.
+"""
+
+
+def test_a_chain_lift_peak_bytes_per_output_cell():
+    pipeline = compile_circuit(parse(
+        (Path(__file__).parent / "golden" / "chain5.qc").read_text(encoding="utf-8")))
+    modes, steps = pipeline._steps(None)
+    state = reduce(engine.tensor, [engine.source(spec, modes) for spec in pipeline.sources])
+    *before, last = steps
+    for step in before:
+        state = engine.lift(state, step)
+    engine.lift(state, last)  # fills the caches of image tables
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = engine.lift(state, last)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert out.occ.shape == (4802, 36)
+    assert peak / out.occ.size <= LIFT_PEAK_BYTES_PER_CELL
 
 
 def test_array_state_takes_occupations_of_any_integer_type():

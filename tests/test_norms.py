@@ -314,3 +314,24 @@ def test_a_count_probability_past_the_float_range_raises():
     s = StateVector({FockKet({M("a", 0): 1}): 1e200, FockKet({M("a", 1): 1}): 3e199})
     with pytest.raises(NonFiniteError):
         enumerate_outcomes(s, {"a"})
+
+
+def test_subnormal_rescale_sums_the_lifted_amplitudes_once(monkeypatch):
+    """Spans [2, 0, 4], the first of subnormal norm: each span over its own norm, bit for bit.
+
+    The lifted amplitudes are summed by one ``np.bincount``: the spans that
+    are not lifted must not read as underflowed and be summed again.
+    """
+    tiny = [complex(3e-320, -0.0), complex(-5e-324, 4e-320)]
+    rest = [0.5 + 0j, -0.5j, complex(0.3, -0.4), complex(-1e-200, 0.0)]
+    up = [complex(a.real * 2.0 ** 600, a.imag * 2.0 ** 600) for a in tiny]
+    want = ([a / reference_norm(up) for a in up]
+            + [a * complex(1.0 / reference_norm(rest), 0.0) for a in rest])
+    amp = np.array(tiny + rest)
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *args, **kw: calls.append(1) or bincount(*args, **kw))
+    got = engine.unit(amp, [2, 0, 4])
+    # the norms of amp (the subnormal span summed again, rescaled), then the lifted span
+    assert len(calls) == 3
+    assert amp_bits(got) == amp_bits(np.array(want))

@@ -28,6 +28,7 @@ from aomsim.cli import _report, _write_json
 from aomsim.engine import ArrayState
 from aomsim.states import as_arrays, as_state
 from conftest import M, random_circuit
+from test_golden import chain_circuit
 
 
 def reference_report(circuit, convention, outcomes, success, metrics, bandwidth_valid, extra):
@@ -60,7 +61,7 @@ def assert_encodes_like_reference(outcomes, tmp_path, bandwidth_valid=None, extr
     args = ("c.qc", Convention.UNITARY, outcomes, success, {"p": success}, bandwidth_valid,
             extra or {})
     want = reference_report(*args)
-    for few_rows in (0, 10 ** 9):  # every report through both paths of row_pieces
+    for few_rows in (0, 10 ** 9):  # every report through both paths of the encoder
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(states, "_FEW_ROWS", few_rows)
             text = _report(*args)
@@ -159,4 +160,47 @@ def test_outcomes_built_from_state_vectors(tmp_path):
         for name in ("rows", "conditional_state"):
             with pytest.raises(AttributeError):
                 setattr(o, name, None)
+    assert_encodes_like_reference(outcomes, tmp_path)
+
+
+def test_vacuum_row_has_no_modes(tmp_path):
+    vacuum = StateVector({FockKet(): 0.6, FockKet({M("a", 0): 1}): -0.8j})
+    whole = HeraldOutcome(label="all", probability=1.0, conditional_state=vacuum, accepted=True)
+    for outcomes in ([whole], post_select(vacuum, HeraldRule(((frozenset({"a"}), 0),)))):
+        want = assert_encodes_like_reference(outcomes, tmp_path)
+        assert want["outcomes"][0]["state"][0]["modes"] == []
+
+
+ESCAPED = ('q"uote', "back\\slash", "café")
+
+
+def test_path_names_that_need_escaping(tmp_path):
+    state = StateVector({
+        FockKet({M(ESCAPED[0], 0): 1, M(ESCAPED[2], -1): 2}): 0.6,
+        FockKet({M(ESCAPED[1], 1): 1, M(ESCAPED[2], -1): 1}): 0.8j,
+    })
+    for rule in (HeraldRule(((frozenset({ESCAPED[2]}), 1),)),
+                 HeraldRule(((frozenset(ESCAPED[:2]), 1),), discard_complement=False)):
+        outcomes = post_select(state, rule)
+        want = assert_encodes_like_reference(outcomes, tmp_path)
+        paths = {m[0] for o in want["outcomes"] if o["state"] for t in o["state"]
+                 for m in t["modes"]}
+        assert paths <= set(ESCAPED) and len(paths) >= 2
+
+
+def test_metric_keys_that_need_escaping(tmp_path):
+    state, aoms = random_circuit(np.random.default_rng(7))
+    outcomes = post_select(evolve(state, aoms), HeraldRule(((frozenset({"x", "y"}), 1),)))
+    keys = (*ESCAPED, "50%s", "{0}")  # also what a format template would read
+    outcomes[0].metrics.update({key: 0.25 * i for i, key in enumerate(keys)})
+    outcomes[-1].metrics[ESCAPED[2]] = -1e-300
+    want = assert_encodes_like_reference(outcomes, tmp_path, extra={ESCAPED[1]: 2.0})
+    assert sorted(want["outcomes"][0]["metrics"]) == sorted(keys)
+
+
+@pytest.mark.parametrize("conventions", [["unitary"], ["paper"]])
+def test_four_source_chain(conventions, tmp_path):
+    outcomes = compile_circuit(parse(chain_circuit(4, conventions))).run().outcomes
+    assert sum(len(o.rows.amp) for o in outcomes) == 686
+    assert sum(o.accepted for o in outcomes) == 64
     assert_encodes_like_reference(outcomes, tmp_path)
