@@ -14,11 +14,10 @@ One pass over the concatenated rows lists the ``[path,bin,n]`` fragment of
 every occupied cell, each distinct fragment and each distinct amplitude bit
 pattern encoded once, and each term is one format string that joins its
 row's fragments.  Outcome heads come from one ``%`` template per sorted
-tuple of metric keys; a report of at most ``states._FEW_ROWS`` terms takes
-Python loops instead, which cost less than numpy's fixed cost per call
-there.  The compact text is assembled from those pieces and small
-``json.dumps`` pieces with sorted keys, in one join.  ``--pretty``
-re-indents that text; float reprs round-trip, so only whitespace changes.
+tuple of metric keys, their floats encoded in one batch.  The compact text
+is assembled from those pieces and small ``json.dumps`` pieces with sorted
+keys, in one join.  ``--pretty`` re-indents that text; float reprs
+round-trip, so only whitespace changes.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, states
+from . import engine
 from .dsl import Pipeline, PipelineResult, compile_circuit, parse
 from .elements import Convention
 from .errors import CompileError, SimulatorError
@@ -78,40 +77,28 @@ def _compact(obj) -> str:
 def _floats_json(x: np.ndarray) -> list[str]:
     """Each (finite) float rounded to 12 significant digits, as JSON; each value encoded once.
 
-    Values are told apart by bit pattern, which keeps -0.0 apart from 0.0:
-    by a dict for the parts of at most ``states._FEW_ROWS`` amplitudes,
-    else by one ``np.unique``.
+    Values are told apart by bit pattern (one ``np.unique``), which keeps
+    -0.0 apart from 0.0.
     """
-    if len(x) <= 2 * states._FEW_ROWS:
-        texts: dict[int, str] = {}
-        return [texts[b] if b in texts else texts.setdefault(b, repr(_sig12(v)))
-                for b, v in zip(x.view(np.int64).tolist(), x.tolist())]
-    _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
-    distinct = np.array([repr(_sig12(v)) for v in x[first].tolist()], dtype=object)
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    distinct = np.array([repr(_sig12(v)) for v in bits.view(np.float64).tolist()], dtype=object)
     return distinct[inverse].tolist()
 
 
-def _head(o: HeraldOutcome) -> str:
-    """An outcome's keys before ``state`` as compact JSON, without the closing brace.
-
-    Keys are in sorted order, strings are encoded as the JSON encoder
-    encodes them and floats are rounded as :func:`_compact` rounds them.
-    """
-    metrics = ",".join(f"{encode_basestring_ascii(k)}:{_sig12(v)!r}"
-                       for k, v in sorted(o.metrics.items()))
-    return (f'{{"accepted":{"true" if o.accepted else "false"},'
-            f'"label":{encode_basestring_ascii(o.label)},"metrics":{{{metrics}}},'
-            f'"probability":{_sig12(o.probability)!r}')
-
-
 def _head_template(keys: tuple[str, ...]) -> str:
-    """:func:`_head` as a ``%`` template over accepted, label, the metrics of ``keys`` and probability."""
+    """An outcome's head as a ``%`` template: accepted, label, the metrics of ``keys``, probability."""
     metrics = ",".join(encode_basestring_ascii(k).replace("%", "%%") + ":%s" for k in keys)
     return '{"accepted":%s,"label":%s,"metrics":{' + metrics + '},"probability":%s'
 
 
 def _heads(outcomes: list[HeraldOutcome]) -> list[str]:
-    """:func:`_head` of every outcome: one template per sorted tuple of metric keys, floats encoded once."""
+    """Each outcome's keys before ``state`` as compact JSON, without the closing brace.
+
+    Keys are in sorted order, strings are encoded as the JSON encoder
+    encodes them and floats are rounded as :func:`_compact` rounds them.
+    Each sorted tuple of metric keys has one template, and the floats of
+    all heads are encoded in one batch.
+    """
     keys = [tuple(sorted(o.metrics)) for o in outcomes]
     values = [v for o, k in zip(outcomes, keys) for v in (*map(o.metrics.__getitem__, k),
                                                            o.probability)]
@@ -161,15 +148,11 @@ def _outcomes_json(outcomes: list[HeraldOutcome]) -> list[str]:
     """The report's ``outcomes`` list as pieces of text, to be joined once.
 
     A report is mostly its outcome states' terms; keeping each term a piece
-    of its own builds the report in one join, with no per-state copy.  The
-    outcome heads of a report of at most ``states._FEW_ROWS`` terms are
-    formatted one by one, those of a larger one by :func:`_heads`.
+    of its own builds the report in one join, with no per-state copy.
     """
-    terms = _terms_json(outcomes)
-    heads = map(_head, outcomes) if len(terms) <= states._FEW_ROWS else _heads(outcomes)
-    terms = iter(terms)
+    terms = iter(_terms_json(outcomes))
     pieces = ["["]
-    for i, (o, head) in enumerate(zip(outcomes, heads)):
+    for i, (o, head) in enumerate(zip(outcomes, _heads(outcomes))):
         pieces.append(f'{"," if i else ""}{head},"state":')  # "state" sorts last
         if o.rows is None:
             pieces.append("null}")

@@ -53,7 +53,6 @@ __all__ = [
     "as_arrays",
     "as_state",
     "kets",
-    "row_pieces",
     "match_kind",
     "shared_columns",
     "tensor",
@@ -327,9 +326,10 @@ def kets(modes: tuple[ModeLabel, ...], occ: np.ndarray) -> list[FockKet]:
     """One ket per occupation row, built in one batch; kets share their pairs."""
     new, set_pairs, set_hash = object.__new__, FockKet._pairs.__set__, FockKet._hash.__set__
     pairs, ends = row_pieces(modes, occ, lambda mode, n: (mode, n))
+    pairs = tuple(pairs)  # each row's slice is then its ket's pairs
     out = []
     for a, b in zip([0, *ends], ends):
-        ket_pairs = tuple(pairs[a:b])
+        ket_pairs = pairs[a:b]
         k = new(FockKet)
         set_pairs(k, ket_pairs)
         set_hash(k, hash(ket_pairs))

@@ -316,11 +316,12 @@ def test_a_count_probability_past_the_float_range_raises():
         enumerate_outcomes(s, {"a"})
 
 
-def test_subnormal_rescale_sums_the_lifted_amplitudes_once(monkeypatch):
+def test_subnormal_rescale_leaves_no_span_it_sums_underflowed(monkeypatch):
     """Spans [2, 0, 4], the first of subnormal norm: each span over its own norm, bit for bit.
 
-    The lifted amplitudes are summed by one ``np.bincount``: the spans that
-    are not lifted must not read as underflowed and be summed again.
+    After the norms of ``amp``, every amplitude ``span_norms`` sums has no
+    nonempty span that underflows: the spans that are not lifted must not
+    read as underflowed, which would have them summed again.
     """
     tiny = [complex(3e-320, -0.0), complex(-5e-324, 4e-320)]
     rest = [0.5 + 0j, -0.5j, complex(0.3, -0.4), complex(-1e-200, 0.0)]
@@ -328,10 +329,13 @@ def test_subnormal_rescale_sums_the_lifted_amplitudes_once(monkeypatch):
     want = ([a / reference_norm(up) for a in up]
             + [a * complex(1.0 / reference_norm(rest), 0.0) for a in rest])
     amp = np.array(tiny + rest)
-    calls = []
-    bincount = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda *args, **kw: calls.append(1) or bincount(*args, **kw))
+    summed = []
+    span_norms = engine.span_norms
+    monkeypatch.setattr(engine, "span_norms",
+                        lambda a, sizes: summed.append(a.tolist()) or span_norms(a, sizes))
     got = engine.unit(amp, [2, 0, 4])
-    # the norms of amp (the subnormal span summed again, rescaled), then the lifted span
-    assert len(calls) == 3
+    assert summed[0] == tiny + rest
+    for a in summed[1:]:
+        assert all(TINY <= sum(square(abs(x)) for x in span) <= LARGEST
+                   for span in (a[:2], a[2:]))
     assert amp_bits(got) == amp_bits(np.array(want))
