@@ -213,10 +213,11 @@ def _write_json(report: str, path: str, pretty: bool) -> int:
 
 def _print_outcomes(outcomes: list[HeraldOutcome]):
     width = max(len(o.label) for o in outcomes) + 2
-    print(f"{'outcome':<{width}} probability  details")
+    lines = [f"{'outcome':<{width}} probability  details"]
     for o in outcomes:
         details = " ".join(f"{k}={v:.6f}" for k, v in sorted(o.metrics.items()))
-        print(f"{o.label:<{width}} {o.probability:<12.6f} {details}".rstrip())
+        lines.append(f"{o.label:<{width}} {o.probability:<12.6f} {details}".rstrip())
+    print("\n".join(lines))  # one write for the whole table
 
 
 def _print_pipeline_result(name: str, convention: Convention | None, result: PipelineResult):

@@ -615,7 +615,8 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
 
     Raises :class:`CompileError` (with the statement's line) on AOM bin/shift
     mismatches, reuse of a path by two declaring statements, herald/report
-    references to undeclared paths, or a ``report ghz`` with equal branches.
+    references to undeclared paths, a ``report ghz`` with equal branches, or a
+    second ``report ghz`` (each would write the one ``ghz_fidelity`` metric).
     Parse already enforces most of these for text input; the compiler
     re-checks so programmatically built ASTs get the same diagnostics.  The
     ``check bandwidth`` verdict is decided here, once.
@@ -669,6 +670,8 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
                 if herald is None:
                     raise CompileError("report statements must follow the herald", stmt.line)
                 if isinstance(stmt, ReportGhzStmt):
+                    if any(isinstance(r, ReportGhzStmt) for r in reports):  # one metric key
+                        raise CompileError("multiple report ghz statements", stmt.line)
                     paths = sorted(stmt.target[0])
                 else:
                     paths = stmt.split if isinstance(stmt, ReportEntropyStmt) else stmt.paths

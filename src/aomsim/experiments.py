@@ -70,14 +70,13 @@ class HeraldRule:
 
     A pattern satisfies the rule iff every clause's photon total over its
     path set equals the required count exactly (number-resolving semantics).
-    With ``discard_complement`` (the default) all rejected patterns are
-    reported as a single bucket; otherwise each keeps its own outcome.
+    A herald lists each accepted pattern as an outcome of its own, then all
+    rejected patterns as one ``discard`` bucket.
     """
 
     clauses: tuple[tuple[frozenset[str], int], ...]
-    discard_complement: bool = True
 
-    def __init__(self, clauses, discard_complement: bool = True):
+    def __init__(self, clauses):
         normed = tuple((frozenset(paths), int(count)) for paths, count in clauses)
         seen: set[str] = set()
         for paths, count in normed:
@@ -89,7 +88,6 @@ class HeraldRule:
                 raise ValueError("herald clauses must use pairwise-disjoint path sets")
             seen |= paths
         object.__setattr__(self, "clauses", normed)
-        object.__setattr__(self, "discard_complement", bool(discard_complement))
 
     def paths(self) -> tuple[str, ...]:
         return tuple(sorted(set().union(*(paths for paths, _ in self.clauses))))
@@ -176,26 +174,21 @@ def _herald_plan(occ, modes: tuple, rule: HeraldRule):
 
     ``order`` lists the state's rows outcome by outcome, each outcome's rows
     in ket order (the state's), ``sizes`` counts them and ``outcomes`` holds
-    each one's ``(label, pattern, accepted)``.  The discard bucket comes
-    last, made of the rejected patterns, unless the rule keeps them apart;
-    its rows are in ket order too, whatever their patterns.
+    each one's ``(label, pattern, accepted)``: the accepted patterns in
+    pattern order, then the ``discard`` bucket, made of every rejected
+    pattern, whose rows are in ket order too, whatever their patterns.
     """
     paths = rule.paths()
     ids, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
-    shown = accepted if rule.discard_complement else np.ones(len(sizes), dtype=bool)
-    groups = np.flatnonzero(accepted).tolist() + np.flatnonzero(~accepted & shown).tolist()
+    groups = np.flatnonzero(accepted)
     rank = np.full(len(sizes), len(groups))  # the discard bucket's groups rank last
     rank[groups] = np.arange(len(groups))
     order = np.argsort(rank[ids], kind="stable")
-    shown_patterns = patterns[groups].tolist()
-    outcomes = [(label, tuple(zip(paths, pattern)), is_accepted) for label, pattern, is_accepted
-                in zip(_pattern_labels(paths, shown_patterns), shown_patterns,
-                       accepted[groups].tolist())]
-    counts = sizes[groups].tolist()
-    if rule.discard_complement:
-        outcomes.append(("discard", None, False))
-        counts.append(int(sizes[~accepted].sum()))
-    return order, counts, outcomes
+    passing = patterns[groups].tolist()
+    outcomes = [(label, tuple(zip(paths, pattern)), True)
+                for label, pattern in zip(_pattern_labels(paths, passing), passing)]
+    outcomes.append(("discard", None, False))
+    return order, sizes[groups].tolist() + [int(sizes[~accepted].sum())], outcomes
 
 
 def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:

@@ -177,8 +177,7 @@ def test_criterion_10_post_selection_completeness():
     completeness(ket([M("a", 0)]), HeraldRule([({"a"}, 7)]))
     for _ in range(50):
         state = random_state(rng, [M("a", 0), M("a", 1), M("b", 0), M("c", 2)])
-        rule = HeraldRule([({"a"}, int(rng.integers(0, 4))), ({"b"}, int(rng.integers(0, 3)))],
-                          discard_complement=bool(rng.integers(0, 2)))
+        rule = HeraldRule([({"a"}, int(rng.integers(0, 4))), ({"b"}, int(rng.integers(0, 3)))])
         completeness(state, rule)
     check(10, "accepted plus discarded probabilities complete to 1",
           worst <= 1e-9, f"{calls} post-selections, max deviation {worst:.3e}")

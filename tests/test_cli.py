@@ -10,7 +10,8 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings
 
-from aomsim.cli import load_report_schema, main
+from aomsim.cli import _print_outcomes, load_report_schema, main
+from aomsim.experiments import HeraldOutcome
 from conftest import circuit_texts
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -18,11 +19,34 @@ SWAP_QC = str(CIRCUITS / "swap.qc")
 GHZ_QC = str(CIRCUITS / "ghz.qc")
 
 
-def test_run_swap_circuit(capsys):
-    assert main(["run", SWAP_QC]) == 0
+def test_run_swap_circuit(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["run", SWAP_QC, "--json", str(report), "--pretty"]) == 0
     out = capsys.readouterr().out
     assert "success probability: 0.500000" in out
     assert "discard" in out
+    jsonschema.validate(json.loads(report.read_text()), load_report_schema())
+
+
+def printed_line_by_line(outcomes: list[HeraldOutcome]) -> str:
+    """The outcome table as one ``print`` per line: the header, then one line per outcome."""
+    out = io.StringIO()
+    width = max(len(o.label) for o in outcomes) + 2
+    print(f"{'outcome':<{width}} probability  details", file=out)
+    for o in outcomes:
+        details = " ".join(f"{k}={v:.6f}" for k, v in sorted(o.metrics.items()))
+        print(f"{o.label:<{width}} {o.probability:<12.6f} {details}".rstrip(), file=out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("labels", [("a", "T=1,T'=0", "discard"), ("all", "x=0", "y")])
+def test_outcome_table_matches_the_line_by_line_print(labels, capsys):
+    """Labels wider and narrower than the header; no, one and several metrics, unsorted."""
+    metrics = ({}, {"ghz_fidelity": 1.0}, {"z": 0.5, "entropy[1,2]": 1e-7, "b": -2.25})
+    outcomes = [HeraldOutcome(label, p, None, False, metrics=dict(m))
+                for label, p, m in zip(labels, (0.25, 1.0 / 3.0, 0.0), metrics)]
+    _print_outcomes(outcomes)
+    assert capsys.readouterr().out == printed_line_by_line(outcomes)
 
 
 def test_run_missing_file(capsys):

@@ -273,9 +273,10 @@ def check_against(report: dict, run: Run, text: str, override: str | None):
             assert close(have.get(c, 0.0), dist.get(c, 0.0)), (key, c)
 
 
-def same_ghz_branches(text: str) -> bool:
-    return any(counts(s.branch_a) == counts(s.branch_b)
-               for s in parse(text).statements if isinstance(s, ReportGhzStmt))
+def bad_ghz_reports(text: str) -> bool:
+    """Equal branches, or a second ``report ghz``: each is a compile error."""
+    reports = [s for s in parse(text).statements if isinstance(s, ReportGhzStmt)]
+    return len(reports) > 1 or any(counts(s.branch_a) == counts(s.branch_b) for s in reports)
 
 
 @given(circuit_texts(sources=(2, 2), aoms=(1, 4)), st.sampled_from([None, "unitary", "paper"]))
@@ -286,7 +287,7 @@ def test_a_run_report_matches_the_dense_reference(tmp_path_factory, text, overri
     argv = ["run", str(folder / "c.qc"), "--json", str(folder / "r.json")]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv + (["--convention", override] if override else []))
-    if same_ghz_branches(text):
+    if bad_ghz_reports(text):
         assert code == 2, text
         return
     run = reference(text, override)

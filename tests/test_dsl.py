@@ -320,6 +320,19 @@ def test_compile_rejects_equal_ghz_branches(a, b):
         compile_circuit(CircuitAst(ast.statements[:-1] + (report,)))
 
 
+def test_compile_rejects_a_second_ghz_report():
+    """Every ``report ghz`` writes the one ``ghz_fidelity`` metric, so a second would
+    overwrite the first."""
+    text = GHZ_TEXT + "report ghz a=(1@0,3'@1,4'@0) b=(1'@1,2'@0,4@0)\n"
+    ast = parse_ok(text)
+    with pytest.raises(CompileError, match="multiple report ghz") as exc:
+        compile_circuit(ast)
+    assert exc.value.line == len(text.splitlines())
+    first, second = (ReportGhzStmt(s.branch_a, s.branch_b) for s in ast.statements[-2:])
+    with pytest.raises(CompileError, match="multiple report ghz"):  # a programmatic AST
+        compile_circuit(CircuitAst(ast.statements[:-2] + (first, second)))
+
+
 def run_bits(result) -> tuple:
     """A run as exact text and bytes: every outcome, probability and metric in order."""
     return ([(outcome_bits(o), repr(o.metrics)) for o in result.outcomes],

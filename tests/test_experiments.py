@@ -99,15 +99,6 @@ def test_discard_bucket_state_is_normalized_or_absent():
     assert all_pass[-1].conditional_state is None
 
 
-def test_keep_rejected_patterns_individually():
-    rule = HeraldRule([({"T1", "T1'"}, 1), ({"T2", "T2'"}, 1)], discard_complement=False)
-    outcomes = post_select(swap_evolved(), rule)
-    assert all(o.pattern is not None for o in outcomes)
-    assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
-    rejected = [o for o in outcomes if not o.accepted]
-    assert len(rejected) >= 2  # the two-photons-in-one-AOM branches
-
-
 def test_herald_rule_validation():
     with pytest.raises(ValueError):
         HeraldRule([({"a"}, 1), ({"a", "b"}, 1)])  # overlapping clauses
@@ -120,11 +111,35 @@ def test_herald_rule_validation():
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_post_select_probabilities_always_complete(seed, na, nb):
+    """Every herald has one shape: the accepted patterns in pattern order, then one discard
+    bucket, whose state is None exactly when no row is rejected; one state or a batch."""
     rng = np.random.default_rng(seed)
     s = random_state(rng, [M("a", 0), M("a", 1), M("b", 0), M("c", 2)])
-    rule = HeraldRule([({"a"}, na), ({"b"}, nb)])
-    outcomes = post_select(s, rule)
-    assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
+    rows = as_arrays(s)
+    batch = ArrayState(rows.modes, rows.occ, np.stack([rows.amp, -1j * rows.amp[::-1]]))
+    for rule in (HeraldRule([({"a"}, na), ({"b"}, nb)]),
+                 HeraldRule([({"a", "c"}, na), ({"b"}, nb)])):  # several patterns can pass
+        paths = rule.paths()
+        patterns = {tuple(k.count_on_paths({p}) for p in paths) for k in s.terms}
+        passes = {p: all(sum(n for path, n in zip(paths, p) if path in clause) == count
+                          for clause, count in rule.clauses) for p in patterns}
+        want = [tuple(zip(paths, p)) for p in sorted(p for p in patterns if passes[p])]
+        rejected = not all(passes.values())
+
+        def assert_one_shape(outcomes):
+            *kept, discard = outcomes
+            assert [o.pattern for o in kept] == want
+            assert all(o.accepted for o in kept)
+            assert (discard.label, discard.pattern, discard.accepted) == ("discard", None, False)
+            assert (discard.rows is None) is not rejected
+
+        outcomes = post_select(s, rule)
+        assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
+        assert_one_shape(outcomes)
+        branches = [HeraldOutcome(*branch) for branch in _herald(batch, rule)]
+        for member in range(2):
+            assert sum(o.probability[member] for o in branches) == pytest.approx(1.0, abs=1e-9)
+        assert_one_shape(branches)
 
 
 def assert_rows_in_ket_order(outcomes):
@@ -134,13 +149,13 @@ def assert_rows_in_ket_order(outcomes):
 
 
 @given(seed=st.integers(0, 2**32 - 1), convention=st.sampled_from(list(Convention)),
-       discard=st.booleans(), alphas=st.lists(st.floats(0.1, 1.4), min_size=2, max_size=2))
+       alphas=st.lists(st.floats(0.1, 1.4), min_size=2, max_size=2))
 @settings(max_examples=60, deadline=None)
-def test_every_outcome_lists_its_rows_in_ket_order(seed, convention, discard, alphas):
+def test_every_outcome_lists_its_rows_in_ket_order(seed, convention, alphas):
     """The herald orders each outcome's rows, the discard bucket's too, and so does a run
     without a herald: a run report lists the rows as the outcomes hold them."""
     state, aoms = random_circuit(np.random.default_rng(seed), convention)
-    rule = HeraldRule([({aoms[-1].output_x, aoms[-1].output_y}, 1)], discard_complement=discard)
+    rule = HeraldRule([({aoms[-1].output_x, aoms[-1].output_y}, 1)])
     for spec in aoms:
         state = apply_element(state, make_aom(spec))
     final = as_arrays(state)

@@ -55,16 +55,15 @@ def dense_entropy(rho: np.ndarray) -> float:
 
 @given(seed=st.integers(0, 2**32 - 1),
        convention=st.sampled_from([Convention.UNITARY, Convention.PAPER_LITERAL]),
-       count=st.integers(0, 2), discard=st.booleans(),
+       count=st.integers(0, 2),
        keep=st.sets(st.sampled_from(["a", "b", "c", "s1", "s2", "u", "v", "x", "y"])))
 @settings(max_examples=80, deadline=None)
-def test_batched_entropies_and_purities_match_a_dense_reference(seed, convention, count,
-                                                                 discard, keep):
+def test_batched_entropies_and_purities_match_a_dense_reference(seed, convention, count, keep):
     rng = np.random.default_rng(seed)
     state, aoms = random_circuit(rng, convention)
     for spec in aoms:
         state = apply_element(state, make_aom(spec))
-    outcomes = [o for o in post_select(state, HeraldRule([({"x", "y"}, count)], discard))
+    outcomes = [o for o in post_select(state, HeraldRule([({"x", "y"}, count)]))
                 if o.rows is not None and len(o.rows.amp)]
     rows = [o.rows for o in outcomes]
     entropies = entanglement_entropy(rows, keep)

@@ -151,7 +151,7 @@ def test_herald_probabilities_match_the_loop(seed, terms, members, parts):
     amp = rng.normal(size=(members, terms)) + 1j * rng.normal(size=(members, terms))
     amp *= 10.0 ** rng.choice([-200, 0, 150], size=(members, 1))
     amp[:, rng.integers(0, terms)] = complex(*parts) or 1e-200  # rows stay nonzero
-    rule = HeraldRule([({"x", "y"}, 1)], discard_complement=bool(seed % 2))
+    rule = HeraldRule([({"x", "y"}, 1)])
     order, sizes, _ = _herald_plan(occ, modes, rule)  # outcome by outcome, each in ket order
     bounds = np.cumsum([0] + sizes).tolist()
     want = [[square(reference_norm(values[a:b])) for a, b in zip(bounds, bounds[1:])]

@@ -85,12 +85,10 @@ def test_random_circuit_reports_match_reference(convention, seed, tmp_path):
     state, aoms = random_circuit(rng, convention)
     final = evolve(state, aoms)
     outputs = frozenset({aoms[-1].output_x, aoms[-1].output_y})
-    for keep_apart in (False, True):
-        rule = HeraldRule(((outputs, 1),), discard_complement=not keep_apart)
-        outcomes = post_select(final, rule)
-        outcomes[0].metrics["entropy[x]"] = 0.1 + seed
-        want = assert_encodes_like_reference(outcomes, tmp_path, True, {"alpha": 0.3})
-        assert want["flags"]["non_unitary"] is (convention is Convention.PAPER_LITERAL)
+    outcomes = post_select(final, HeraldRule(((outputs, 1),)))
+    outcomes[0].metrics["entropy[x]"] = 0.1 + seed
+    want = assert_encodes_like_reference(outcomes, tmp_path, True, {"alpha": 0.3})
+    assert want["flags"]["non_unitary"] is (convention is Convention.PAPER_LITERAL)
 
 
 def test_report_without_herald_lists_outcome_all(tmp_path):
@@ -180,7 +178,7 @@ def test_path_names_that_need_escaping(tmp_path):
         FockKet({M(ESCAPED[1], 1): 1, M(ESCAPED[2], -1): 1}): 0.8j,
     })
     for rule in (HeraldRule(((frozenset({ESCAPED[2]}), 1),)),
-                 HeraldRule(((frozenset(ESCAPED[:2]), 1),), discard_complement=False)):
+                 HeraldRule(((frozenset(ESCAPED[:2]), 1),))):
         outcomes = post_select(state, rule)
         want = assert_encodes_like_reference(outcomes, tmp_path)
         paths = {m[0] for o in want["outcomes"] if o["state"] for t in o["state"]
