@@ -17,10 +17,13 @@ Frequency bins are written ``path@bin``.
 
 Paths are declared by the statement that creates them (source arms/alt, AOM
 outputs) and must be declared before any use; at most one herald is allowed
-and reports must follow it.  :func:`parse` never raises on bad input: it
-returns either a :class:`CircuitAst` or the list of :class:`ParseError`
-diagnostics (1-based line/column).  Structural checks that need element
-semantics (AOM bin/shift consistency) happen in :func:`compile_circuit`.
+and reports must follow it.  :func:`parse` checks each line on its own
+(tokens, arguments, finite and positive numbers) and never raises on bad
+input: it returns either a :class:`CircuitAst` or the list of
+:class:`ParseError` diagnostics (1-based line/column).
+:func:`compile_circuit` checks how statements relate (declarations, the
+herald, reports) and the AOM wiring, for parsed text and for ASTs built in
+code alike, and stops at the first error.
 
 :meth:`Pipeline.run` is the one code path that evolves a circuit: ``aomsim
 run`` calls it on a file, and :func:`~aomsim.experiments.run_swap` and
@@ -211,8 +214,6 @@ class _Parser:
     def __init__(self):
         self.errors: list[ParseError] = []
         self.statements: list[Statement] = []
-        self.declared: set[str] = set()
-        self.herald_line: int | None = None
 
     def fail(self, line: int, tok: _Token, message: str):
         self.errors.append(ParseError(line, tok.col, message, tok.text))
@@ -324,15 +325,6 @@ class _Parser:
             self.fail(line, name, f"invalid name '{name.text}'")
         return name
 
-    def declare(self, line: int, tok: _Token, path: str):
-        if path in self.declared:
-            self.fail(line, tok, f"duplicate path declaration '{path}'")
-        self.declared.add(path)
-
-    def require_declared(self, line: int, tok: _Token, path: str):
-        if path not in self.declared:
-            self.fail(line, tok, f"undeclared path '{path}'")
-
     # statements -----------------------------------------------------------
 
     def source_stmt(self, line: int, tokens: list[_Token]):
@@ -344,8 +336,6 @@ class _Parser:
         arms = tuple(self.mode_item(line, t) for t in arm_items)
         alt = tuple(self.mode_item(line, t) for t in alt_items)
         alpha = self.float_value(line, args["alpha"]) if "alpha" in args else math.pi / 4
-        for tok, mode in zip(arm_items + alt_items, arms + alt):
-            self.declare(line, tok, mode.path)
         self.statements.append(SourceStmt(name.text, arms, alt, alpha, line=line))
 
     def aom_stmt(self, line: int, tokens: list[_Token]):
@@ -356,8 +346,6 @@ class _Parser:
         out_items = self.two_items(line, args, "out", head, "outputs")
         inputs = tuple(self.mode_item(line, t) for t in in_items)
         outputs = tuple(self.path_item(line, t) for t in out_items)
-        for tok, mode in zip(in_items, inputs):
-            self.require_declared(line, tok, mode.path)
         shift = self.int_value(line, args["shift"]) if "shift" in args else 1
         t_amp = self.float_value(line, args["t"]) if "t" in args else BALANCED_T
         convention = Convention.UNITARY
@@ -367,8 +355,6 @@ class _Parser:
             if tok.text not in values:
                 self.fail(line, tok, f"convention must be one of {sorted(values)}")
             convention = values[tok.text]
-        for tok, path in zip(out_items, outputs):
-            self.declare(line, tok, path)
         self.statements.append(
             AomStmt(name.text, inputs, outputs, shift, t_amp, convention, line=line)
         )
@@ -377,17 +363,13 @@ class _Parser:
         head = tokens[0]
         name = self.name_token(line, tokens, head)
         args = self.kv_args(line, tokens[2:], {"path", "pass", "sigma"})
-        path_tok = self.need(line, args, "path", head)
-        path = self.path_item(line, path_tok)
-        self.require_declared(line, path_tok, path)
+        path = self.path_item(line, self.need(line, args, "path", head))
         pass_bin = self.int_value(line, self.need(line, args, "pass", head))
         sigma = self.float_value(line, args["sigma"], positive=True) if "sigma" in args else 1.0
         self.statements.append(FilterStmt(name.text, path, pass_bin, sigma, line=line))
 
     def herald_stmt(self, line: int, tokens: list[_Token]):
         head = tokens[0]
-        if self.herald_line is not None:
-            self.fail(line, head, f"multiple herald statements (first at line {self.herald_line})")
         rest = tokens[1:]
         if not rest:
             self.fail(line, head, "herald needs at least one count(...)==N clause")
@@ -398,10 +380,7 @@ class _Parser:
                 m = _COUNT_RE.match(tok.text)
                 if m is None:
                     self.fail(line, tok, "expected clause of the form count(P,...)==N")
-                paths = tuple(m.group(1).split(","))
-                for p in paths:
-                    self.require_declared(line, tok, p)
-                clauses.append((paths, int(m.group(2))))
+                clauses.append((tuple(m.group(1).split(",")), int(m.group(2))))
                 expect_clause = False
             else:
                 if tok.text != "and":
@@ -409,7 +388,6 @@ class _Parser:
                 expect_clause = True
         if expect_clause:
             self.fail(line, rest[-1], "trailing 'and' without a clause")
-        self.herald_line = line
         self.statements.append(HeraldStmt(tuple(clauses), line=line))
 
     def check_stmt(self, line: int, tokens: list[_Token]):
@@ -422,8 +400,6 @@ class _Parser:
 
     def report_stmt(self, line: int, tokens: list[_Token]):
         head = tokens[0]
-        if self.herald_line is None:
-            self.fail(line, head, "report statements must follow the herald")
         if len(tokens) < 2:
             self.fail(line, head, "missing report kind (entropy, ghz, or outcomes)")
         kind = tokens[1]
@@ -436,15 +412,11 @@ class _Parser:
             b_items = self.list_items(line, self.need(line, args, "b", head))
             branch_a = tuple(self.mode_item(line, t) for t in a_items)
             branch_b = tuple(self.mode_item(line, t) for t in b_items)
-            for tok, mode in zip(a_items + b_items, branch_a + branch_b):
-                self.require_declared(line, tok, mode.path)
             self.statements.append(ReportGhzStmt(branch_a, branch_b, line=line))
         else:  # entropy split=(...) or outcomes paths=(...)
             (key,) = allowed[kind.text]
             items = self.list_items(line, self.need(line, args, key, head))
             paths = tuple(self.path_item(line, t) for t in items)
-            for tok, p in zip(items, paths):
-                self.require_declared(line, tok, p)
             stmt = ReportEntropyStmt if kind.text == "entropy" else ReportOutcomesStmt
             self.statements.append(stmt(paths, line=line))
 
@@ -614,12 +586,12 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
     """Lower an AST to a pipeline, validating element-level consistency.
 
     Raises :class:`CompileError` (with the statement's line) on AOM bin/shift
-    mismatches, reuse of a path by two declaring statements, herald/report
-    references to undeclared paths, a ``report ghz`` with equal branches, or a
-    second ``report ghz`` (each would write the one ``ghz_fidelity`` metric).
-    Parse already enforces most of these for text input; the compiler
-    re-checks so programmatically built ASTs get the same diagnostics.  The
-    ``check bandwidth`` verdict is decided here, once.
+    mismatches, reuse of a path by two declaring statements, references to
+    undeclared paths, a second herald, a report before the herald, a
+    ``report ghz`` with equal branches, a second ``report ghz`` (each would
+    write the one ``ghz_fidelity`` metric), or a report equal to an earlier
+    one (it would compute and write the same key twice).  The ``check
+    bandwidth`` verdict is decided here, once.
     """
     sources: list[SourceSpec] = []
     elements: list[AomSpec | FilterSpec] = []
@@ -673,6 +645,8 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
                     if any(isinstance(r, ReportGhzStmt) for r in reports):  # one metric key
                         raise CompileError("multiple report ghz statements", stmt.line)
                     paths = sorted(stmt.target[0])
+                elif stmt in reports:  # one metric key, computed twice
+                    raise CompileError("repeated report statement", stmt.line)
                 else:
                     paths = stmt.split if isinstance(stmt, ReportEntropyStmt) else stmt.paths
                 for p in paths:

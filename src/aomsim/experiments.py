@@ -267,13 +267,14 @@ def _combined_accepted(state: ArrayState, rule: HeraldRule) -> ArrayState | None
     """The rows of ``state`` whose herald pattern ``rule`` accepts, renormalized, or None.
 
     This is the coherent sum of the accepted outcomes, each with its own
-    weight; the rows keep the state's ket order.
+    weight; the rows keep the state's ket order.  They are read from the
+    herald's plan (:func:`_herald_plan`), which lists the accepted rows first.
     """
-    ids, _, _, accepted = engine.herald_groups(state.occ, state.modes, rule.paths(), rule.clauses)
-    keep = accepted[ids]
-    if not keep.any():
+    order, sizes, _ = _herald_plan(state.occ, state.modes, rule)
+    keep = np.sort(order[:sum(sizes[:-1])])
+    if not keep.size:
         return None
-    return engine.normalize(ArrayState(state.modes, state.occ.compress(keep, axis=0),
+    return engine.normalize(ArrayState(state.modes, state.occ[keep],
                                        engine.select(state.amp, keep), state.non_unitary))
 
 

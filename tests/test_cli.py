@@ -63,6 +63,20 @@ def test_run_parse_error_reports_line(tmp_path, capsys):
     assert "expected two inputs" in err
 
 
+def test_run_reports_one_error_between_statements(tmp_path, capsys):
+    """Paths and reports that follow from an earlier mistake draw no diagnostics of their own."""
+    bad = tmp_path / "bad.qc"
+    bad.write_text(
+        "source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\n"
+        "aom A in=(9@1,3@0) out=(x,y)\n"
+        "herald count(x)==1\n"
+        "herald count(y)==1\n"
+        "report entropy split=(q)\n"
+    )
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{bad}: line 2: undeclared path '9'"]
+
+
 def test_run_compile_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qc"
     bad.write_text(

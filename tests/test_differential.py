@@ -273,10 +273,14 @@ def check_against(report: dict, run: Run, text: str, override: str | None):
             assert close(have.get(c, 0.0), dist.get(c, 0.0)), (key, c)
 
 
-def bad_ghz_reports(text: str) -> bool:
-    """Equal branches, or a second ``report ghz``: each is a compile error."""
-    reports = [s for s in parse(text).statements if isinstance(s, ReportGhzStmt)]
-    return len(reports) > 1 or any(counts(s.branch_a) == counts(s.branch_b) for s in reports)
+def bad_reports(text: str) -> bool:
+    """A ``report ghz`` with equal branches, a second ``report ghz``, or a report equal
+    to an earlier one: each is a compile error."""
+    reports = [s for s in parse(text).statements
+               if isinstance(s, (ReportEntropyStmt, ReportGhzStmt, ReportOutcomesStmt))]
+    ghz = [s for s in reports if isinstance(s, ReportGhzStmt)]
+    return (len(ghz) > 1 or len(set(reports)) < len(reports)
+            or any(counts(s.branch_a) == counts(s.branch_b) for s in ghz))
 
 
 @given(circuit_texts(sources=(2, 2), aoms=(1, 4)), st.sampled_from([None, "unitary", "paper"]))
@@ -287,7 +291,7 @@ def test_a_run_report_matches_the_dense_reference(tmp_path_factory, text, overri
     argv = ["run", str(folder / "c.qc"), "--json", str(folder / "r.json")]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv + (["--convention", override] if override else []))
-    if bad_ghz_reports(text):
+    if bad_reports(text):
         assert code == 2, text
         return
     run = reference(text, override)

@@ -22,6 +22,7 @@ from aomsim.dsl import (
     ParseError,
     ReportEntropyStmt,
     ReportGhzStmt,
+    ReportOutcomesStmt,
     SourceStmt,
 )
 from aomsim.states import ModeLabel
@@ -44,6 +45,13 @@ def parse_bad(text: str) -> list[ParseError]:
     result = parse(text)
     assert isinstance(result, list) and result, "expected parse errors"
     return result
+
+
+def compile_bad(text: str) -> CompileError:
+    """Text that parses, each line on its own, but does not compile."""
+    with pytest.raises(CompileError) as exc:
+        compile_circuit(parse_ok(text))
+    return exc.value
 
 
 # ---------------------------------------------------------------- parsing
@@ -98,12 +106,12 @@ def test_unknown_statement():
 
 
 def test_duplicate_path_declaration():
-    errs = parse_bad(
+    err = compile_bad(
         "source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\n"
         "source S2 arms=(2@0,5@1) alt=(6@1,7@0)\n"
     )
-    assert errs[0].line == 2
-    assert "duplicate path declaration '2'" in errs[0].message
+    assert err.line == 2
+    assert err.message == "path '2' already declared by an earlier statement"
 
 
 def test_malformed_number():
@@ -112,24 +120,25 @@ def test_malformed_number():
 
 
 def test_undeclared_path():
-    errs = parse_bad("source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\naom A in=(9@1,3@0) out=(x,y)")
-    assert errs[0].line == 2
-    assert "undeclared path '9'" in errs[0].message
+    err = compile_bad("source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\naom A in=(9@1,3@0) out=(x,y)")
+    assert err.line == 2
+    assert err.message == "undeclared path '9'"
 
 
 def test_multiple_heralds_rejected():
-    errs = parse_bad(
+    err = compile_bad(
         "source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\n"
         "herald count(1)==1\n"
         "herald count(2)==1\n"
     )
-    assert errs[0].line == 3
-    assert "multiple herald" in errs[0].message
+    assert err.line == 3
+    assert err.message == "multiple herald statements"
 
 
 def test_report_requires_preceding_herald():
-    errs = parse_bad("source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\nreport entropy split=(1)")
-    assert "must follow the herald" in errs[0].message
+    err = compile_bad("source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\nreport entropy split=(1)")
+    assert err.line == 2
+    assert err.message == "report statements must follow the herald"
 
 
 def test_bad_convention_value():
@@ -331,6 +340,29 @@ def test_compile_rejects_a_second_ghz_report():
     first, second = (ReportGhzStmt(s.branch_a, s.branch_b) for s in ast.statements[-2:])
     with pytest.raises(CompileError, match="multiple report ghz"):  # a programmatic AST
         compile_circuit(CircuitAst(ast.statements[:-2] + (first, second)))
+
+
+@pytest.mark.parametrize("repeat", ["report entropy split=(1,1')",
+                                    "report outcomes paths=(T1,T1')\nreport outcomes paths=(T1,T1')"])
+def test_compile_rejects_a_repeated_report(repeat, tmp_path, capsys):
+    """A report equal to an earlier one would compute and write the same key twice."""
+    text = SWAP_TEXT + repeat + "\n"
+    err = compile_bad(text)
+    assert err.line == len(text.splitlines())
+    assert err.message == "repeated report statement"
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(text)
+    assert main(["run", str(circuit)]) == 2
+    assert capsys.readouterr().err == f"{circuit}: {err}\n"
+
+
+def test_compile_rejects_a_repeated_report_in_programmatic_ast():
+    ast = parse_ok(SWAP_TEXT)
+    with pytest.raises(CompileError, match="repeated report statement"):
+        compile_circuit(CircuitAst(ast.statements + (ReportEntropyStmt(("1", "1'")),)))
+    # the same paths in another order make another key, and another report
+    reports = (ReportOutcomesStmt(("T1", "T1'")), ReportOutcomesStmt(("T1'", "T1")))
+    assert len(compile_circuit(CircuitAst(ast.statements + reports)).reports) == 3
 
 
 def run_bits(result) -> tuple:

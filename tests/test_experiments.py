@@ -1,6 +1,7 @@
 """Heralding primitives and the two built-in experiments."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from aomsim import (
     run_swap,
     tensor,
 )
-from aomsim.dsl import Pipeline
+from aomsim.dsl import Pipeline, compile_circuit, parse
 from aomsim.engine import ArrayState
-from aomsim.experiments import _herald
+from aomsim.experiments import _combined_accepted, _herald
 from aomsim.states import as_arrays, reduced_density
 from conftest import (GHZ_BRANCH_A, GHZ_BRANCH_B, M, ghz_aom, random_circuit, random_state,
                       swap_aoms, swap_sources)
@@ -294,6 +295,30 @@ def test_swap_magnitudes_are_convention_independent():
         assert ou.probability == pytest.approx(op_.probability, abs=1e-9)
         for key, value in ou.metrics.items():
             assert value == pytest.approx(op_.metrics[key], abs=1e-9)
+
+
+def combined_by_mask(state: ArrayState, rule: HeraldRule) -> ArrayState | None:
+    """The accepted rows of ``state``, renormalized, picked by a mask over its rows."""
+    ids, _, _, accepted = engine.herald_groups(state.occ, state.modes, rule.paths(), rule.clauses)
+    keep = accepted[ids]
+    if not keep.any():
+        return None
+    return engine.normalize(ArrayState(state.modes, state.occ.compress(keep, axis=0),
+                                       engine.select(state.amp, keep), state.non_unitary))
+
+
+def test_combined_accepted_rows_match_a_mask_over_the_rows():
+    """The herald plan's accepted rows, above the memo bound, and where none is accepted."""
+    text = (Path(__file__).resolve().parent / "golden" / "chain3.qc").read_text()
+    pipeline = compile_circuit(parse(text))
+    state = pipeline.run().final
+    assert len(state.amp) > engine._MEMO_ROWS
+    got, want = _combined_accepted(state, pipeline.herald), combined_by_mask(state, pipeline.herald)
+    assert (len(state.amp), len(got.amp)) == (98, 32)
+    assert got.modes == want.modes and got.non_unitary == want.non_unitary
+    assert np.array_equal(got.occ, want.occ) and got.amp.tobytes() == want.amp.tobytes()
+    never = HeraldRule([({"T0", "T0'"}, 3)])
+    assert _combined_accepted(state, never) is None and combined_by_mask(state, never) is None
 
 
 def test_swap_product_inputs_cannot_entangle():
