@@ -168,6 +168,62 @@ def test_trailing_and_rejected():
     assert "trailing 'and'" in errs[0].message
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("polarizer P path=x",
+     "line 1, col 1: unknown statement 'polarizer' (at 'polarizer')"),
+    ("source S1 arms",
+     "line 1, col 11: expected key=value argument (at 'arms')"),
+    ("source S1 arms=(1@0,2@1) alt=(1'@1,2'@0) angle=0.5",
+     "line 1, col 42: unknown argument 'angle' (expected ['alpha', 'alt', 'arms'])"
+     " (at 'angle=0.5')"),
+    ("filter F path=1 pass=0 path=2",
+     "line 1, col 24: duplicate argument 'path' (at 'path=2')"),
+    ("# no pass bin\nfilter F path=1",
+     "line 2, col 1: missing required argument 'pass' (at 'filter')"),
+    ("check bandwidth pump=fast",
+     "line 1, col 22: malformed number 'fast' (at 'fast')"),
+    ("check bandwidth pump=-inf",
+     "line 1, col 22: number must be finite, got '-inf' (at '-inf')"),
+    ("filter F path=1 pass=0 sigma=-1",
+     "line 1, col 30: bandwidth must be positive, got '-1' (at '-1')"),
+    ("filter F path=1 pass=1.5",
+     "line 1, col 22: malformed integer '1.5' (at '1.5')"),
+    ("report entropy split=1",
+     "line 1, col 22: expected a parenthesized list (at '1')"),
+    ("report outcomes paths=(,)",
+     "line 1, col 23: list is empty (at '(,)')"),
+    ("aom A in=(2@1) out=(x,y)",
+     "line 1, col 10: expected two inputs (at '(2@1)')"),
+    ("source S arms=(1@0,2) alt=(1'@1,2'@0)",
+     "line 1, col 20: expected path@bin, got '2' (at '2')"),
+    ("aom A in=(2@1,1@0) out=(x,y-z)",
+     "line 1, col 27: invalid path name 'y-z' (at 'y-z')"),
+    ("  source arms=(1@0,2@1) alt=(1'@1,2'@0)",
+     "line 1, col 3: missing element name (at 'source')"),
+    ("source S-1 arms=(1@0,2@1) alt=(1'@1,2'@0)",
+     "line 1, col 8: invalid name 'S-1' (at 'S-1')"),
+    ("aom A in=(2@1,1@0) out=(x,y) convention=sideways",
+     "line 1, col 41: convention must be one of ['paper', 'unitary'] (at 'sideways')"),
+    ("herald  # no clause",
+     "line 1, col 1: herald needs at least one count(...)==N clause (at 'herald')"),
+    ("herald count(1)=1",
+     "line 1, col 8: expected clause of the form count(P,...)==N (at 'count(1)=1')"),
+    ("herald count(1)==1 count(2)==1",
+     "line 1, col 20: expected 'and' between herald clauses (at 'count(2)==1')"),
+    ("\n\therald count(1)==1 and",
+     "line 2, col 21: trailing 'and' without a clause (at 'and')"),
+    ("check pump=1.0",
+     "line 1, col 1: expected 'check bandwidth pump=FLOAT' (at 'check')"),
+    ("report",
+     "line 1, col 1: missing report kind (entropy, ghz, or outcomes) (at 'report')"),
+    ("report purity split=(1)",
+     "line 1, col 8: unknown report kind 'purity' (at 'purity')"),
+])
+def test_every_parse_diagnostic_is_pinned(text, expected):
+    """One short bad text per parser message: line, column, message and token."""
+    assert [str(e) for e in parse(text)] == [expected]
+
+
 def test_parser_collects_errors_across_lines():
     errs = parse_bad("bogus one\nsource S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\nbogus two\n")
     assert [e.line for e in errs] == [1, 3]
