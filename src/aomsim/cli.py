@@ -240,7 +240,7 @@ def _print_pipeline_result(name: str, convention: Convention | None, result: Pip
 def cmd_run(args) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     parsed = parse(text)

@@ -17,10 +17,12 @@ Frequency bins are written ``path@bin``.
 
 Paths are declared by the statement that creates them (source arms/alt, AOM
 outputs) and must be declared before any use; at most one herald is allowed
-and reports must follow it.  :func:`parse` checks each line on its own
-(tokens, arguments, finite and positive numbers) and never raises on bad
+and reports must follow it.  :func:`parse` is stateless and works one
+line at a time: the function for a line's keyword checks that line alone
+(tokens, arguments, finite and positive numbers) and returns its statement
+or raises at the line's first fault.  :func:`parse` never raises on bad
 input: it returns either a :class:`CircuitAst` or the list of
-:class:`ParseError` diagnostics (1-based line/column).
+:class:`ParseError` diagnostics (1-based line/column), one per bad line.
 :func:`compile_circuit` checks how statements relate (declarations, the
 herald, reports) and the AOM wiring, for parsed text and for ASTs built in
 code alike, and stops at the first error.
@@ -207,223 +209,216 @@ class _Token:
 
 
 class _LineError(Exception):
-    """Internal signal: abandon the current statement, keep parsing."""
+    """A line's first fault, raised as ``(token, message)``; parsing goes on at the next line."""
 
 
-class _Parser:
-    def __init__(self):
-        self.errors: list[ParseError] = []
-        self.statements: list[Statement] = []
+# argument helpers ----------------------------------------------------------
 
-    def fail(self, line: int, tok: _Token, message: str):
-        self.errors.append(ParseError(line, tok.col, message, tok.text))
-        raise _LineError
 
-    def parse(self, text: str) -> CircuitAst | list[ParseError]:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            tokens = [_Token(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", body)]
-            if not tokens:
-                continue
-            try:
-                self.statement(lineno, tokens)
-            except _LineError:
-                continue
-        return self.errors if self.errors else CircuitAst(tuple(self.statements))
+def _kv_args(tokens: list[_Token], allowed: set[str]) -> dict[str, _Token]:
+    args: dict[str, _Token] = {}
+    for tok in tokens:
+        if "=" not in tok.text:
+            raise _LineError(tok, "expected key=value argument")
+        key, value = tok.text.split("=", 1)
+        if key not in allowed:
+            raise _LineError(tok, f"unknown argument '{key}' (expected {sorted(allowed)})")
+        if key in args:
+            raise _LineError(tok, f"duplicate argument '{key}'")
+        args[key] = _Token(value, tok.col + len(key) + 1)
+    return args
 
-    def statement(self, line: int, tokens: list[_Token]):
-        head = tokens[0]
-        handlers = {
-            "source": self.source_stmt,
-            "aom": self.aom_stmt,
-            "filter": self.filter_stmt,
-            "herald": self.herald_stmt,
-            "check": self.check_stmt,
-            "report": self.report_stmt,
-        }
-        handler = handlers.get(head.text)
-        if handler is None:
-            self.fail(line, head, f"unknown statement '{head.text}'")
-        handler(line, tokens)
 
-    # argument helpers ----------------------------------------------------
+def _need(args: dict[str, _Token], key: str, head: _Token) -> _Token:
+    if key not in args:
+        raise _LineError(head, f"missing required argument '{key}'")
+    return args[key]
 
-    def kv_args(self, line: int, tokens: list[_Token], allowed: set[str]) -> dict[str, _Token]:
-        args: dict[str, _Token] = {}
-        for tok in tokens:
-            if "=" not in tok.text:
-                self.fail(line, tok, "expected key=value argument")
-            key, value = tok.text.split("=", 1)
-            if key not in allowed:
-                self.fail(line, tok, f"unknown argument '{key}' (expected {sorted(allowed)})")
-            if key in args:
-                self.fail(line, tok, f"duplicate argument '{key}'")
-            args[key] = _Token(value, tok.col + len(key) + 1)
-        return args
 
-    def need(self, line: int, args: dict[str, _Token], key: str, head: _Token) -> _Token:
-        if key not in args:
-            self.fail(line, head, f"missing required argument '{key}'")
-        return args[key]
+def _float(tok: _Token, positive: bool = False) -> float:
+    try:
+        value = float(tok.text)
+    except ValueError:
+        raise _LineError(tok, f"malformed number '{tok.text}'") from None
+    if not math.isfinite(value):
+        raise _LineError(tok, f"number must be finite, got '{tok.text}'")
+    if positive and value <= 0:
+        raise _LineError(tok, f"bandwidth must be positive, got '{tok.text}'")
+    return value
 
-    def float_value(self, line: int, tok: _Token, positive: bool = False) -> float:
-        try:
-            value = float(tok.text)
-        except ValueError:
-            self.fail(line, tok, f"malformed number '{tok.text}'")
-        if not math.isfinite(value):
-            self.fail(line, tok, f"number must be finite, got '{tok.text}'")
-        if positive and value <= 0:
-            self.fail(line, tok, f"bandwidth must be positive, got '{tok.text}'")
-        return value
 
-    def int_value(self, line: int, tok: _Token) -> int:
-        try:
-            return int(tok.text)
-        except ValueError:
-            self.fail(line, tok, f"malformed integer '{tok.text}'")
+def _int(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise _LineError(tok, f"malformed integer '{tok.text}'") from None
 
-    def list_items(self, line: int, tok: _Token) -> list[_Token]:
-        text = tok.text
-        if not (text.startswith("(") and text.endswith(")")):
-            self.fail(line, tok, "expected a parenthesized list")
-        inner = text[1:-1]
-        items: list[_Token] = []
-        col = tok.col + 1
-        for piece in inner.split(","):
-            if piece:
-                items.append(_Token(piece, col))
-            col += len(piece) + 1
-        if not items:
-            self.fail(line, tok, "list is empty")
-        return items
 
-    def two_items(self, line: int, args: dict[str, _Token], key: str, head: _Token,
-                  what: str) -> list[_Token]:
-        tok = self.need(line, args, key, head)
-        items = self.list_items(line, tok)
-        if len(items) != 2:
-            self.fail(line, tok, f"expected two {what}")
-        return items
+def _items(tok: _Token) -> list[_Token]:
+    text = tok.text
+    if not (text.startswith("(") and text.endswith(")")):
+        raise _LineError(tok, "expected a parenthesized list")
+    items: list[_Token] = []
+    col = tok.col + 1
+    for piece in text[1:-1].split(","):
+        if piece:
+            items.append(_Token(piece, col))
+        col += len(piece) + 1
+    if not items:
+        raise _LineError(tok, "list is empty")
+    return items
 
-    def mode_item(self, line: int, tok: _Token) -> ModeLabel:
-        m = _MODE_RE.match(tok.text)
+
+def _two(args: dict[str, _Token], key: str, head: _Token, what: str) -> list[_Token]:
+    tok = _need(args, key, head)
+    items = _items(tok)
+    if len(items) != 2:
+        raise _LineError(tok, f"expected two {what}")
+    return items
+
+
+def _mode(tok: _Token) -> ModeLabel:
+    m = _MODE_RE.match(tok.text)
+    if m is None:
+        raise _LineError(tok, f"expected path@bin, got '{tok.text}'")
+    return ModeLabel(m.group(1), int(m.group(2)))
+
+
+def _path(tok: _Token) -> str:
+    if not _IDENT_RE.match(tok.text):
+        raise _LineError(tok, f"invalid path name '{tok.text}'")
+    return tok.text
+
+
+def _name(tokens: list[_Token]) -> str:
+    if len(tokens) < 2 or "=" in tokens[1].text:
+        raise _LineError(tokens[0], "missing element name")
+    name = tokens[1]
+    if not _IDENT_RE.match(name.text):
+        raise _LineError(name, f"invalid name '{name.text}'")
+    return name.text
+
+
+# statements: each takes a line's tokens and its number, and returns its statement
+
+
+def _source_stmt(tokens: list[_Token], line: int) -> SourceStmt:
+    head = tokens[0]
+    name = _name(tokens)
+    args = _kv_args(tokens[2:], {"arms", "alt", "alpha"})
+    arm_items = _two(args, "arms", head, "arm modes")
+    alt_items = _two(args, "alt", head, "alt modes")
+    arms = tuple(map(_mode, arm_items))
+    alt = tuple(map(_mode, alt_items))
+    alpha = _float(args["alpha"]) if "alpha" in args else math.pi / 4
+    return SourceStmt(name, arms, alt, alpha, line=line)
+
+
+def _aom_stmt(tokens: list[_Token], line: int) -> AomStmt:
+    head = tokens[0]
+    name = _name(tokens)
+    args = _kv_args(tokens[2:], {"in", "out", "shift", "t", "convention"})
+    in_items = _two(args, "in", head, "inputs")
+    out_items = _two(args, "out", head, "outputs")
+    inputs = tuple(map(_mode, in_items))
+    outputs = tuple(map(_path, out_items))
+    shift = _int(args["shift"]) if "shift" in args else 1
+    t_amp = _float(args["t"]) if "t" in args else BALANCED_T
+    convention = Convention.UNITARY
+    if "convention" in args:
+        tok = args["convention"]
+        values = {c.value: c for c in Convention}
+        if tok.text not in values:
+            raise _LineError(tok, f"convention must be one of {sorted(values)}")
+        convention = values[tok.text]
+    return AomStmt(name, inputs, outputs, shift, t_amp, convention, line=line)
+
+
+def _filter_stmt(tokens: list[_Token], line: int) -> FilterStmt:
+    head = tokens[0]
+    name = _name(tokens)
+    args = _kv_args(tokens[2:], {"path", "pass", "sigma"})
+    path = _path(_need(args, "path", head))
+    pass_bin = _int(_need(args, "pass", head))
+    sigma = _float(args["sigma"], positive=True) if "sigma" in args else 1.0
+    return FilterStmt(name, path, pass_bin, sigma, line=line)
+
+
+def _herald_stmt(tokens: list[_Token], line: int) -> HeraldStmt:
+    head, rest = tokens[0], tokens[1:]
+    if not rest:
+        raise _LineError(head, "herald needs at least one count(...)==N clause")
+    clauses: list[tuple[tuple[str, ...], int]] = []
+    for i, tok in enumerate(rest):  # clauses at even positions, 'and' at odd ones
+        if i % 2:
+            if tok.text != "and":
+                raise _LineError(tok, "expected 'and' between herald clauses")
+            continue
+        m = _COUNT_RE.match(tok.text)
         if m is None:
-            self.fail(line, tok, f"expected path@bin, got '{tok.text}'")
-        return ModeLabel(m.group(1), int(m.group(2)))
+            raise _LineError(tok, "expected clause of the form count(P,...)==N")
+        clauses.append((tuple(m.group(1).split(",")), int(m.group(2))))
+    if len(rest) % 2 == 0:
+        raise _LineError(rest[-1], "trailing 'and' without a clause")
+    return HeraldStmt(tuple(clauses), line=line)
 
-    def path_item(self, line: int, tok: _Token) -> str:
-        if not _IDENT_RE.match(tok.text):
-            self.fail(line, tok, f"invalid path name '{tok.text}'")
-        return tok.text
 
-    def name_token(self, line: int, tokens: list[_Token], head: _Token) -> _Token:
-        if len(tokens) < 2 or "=" in tokens[1].text:
-            self.fail(line, head, "missing element name")
-        name = tokens[1]
-        if not _IDENT_RE.match(name.text):
-            self.fail(line, name, f"invalid name '{name.text}'")
-        return name
+def _check_stmt(tokens: list[_Token], line: int) -> CheckStmt:
+    head = tokens[0]
+    if len(tokens) < 2 or tokens[1].text != "bandwidth":
+        raise _LineError(head, "expected 'check bandwidth pump=FLOAT'")
+    args = _kv_args(tokens[2:], {"pump"})
+    return CheckStmt(_float(_need(args, "pump", head), positive=True), line=line)
 
-    # statements -----------------------------------------------------------
 
-    def source_stmt(self, line: int, tokens: list[_Token]):
-        head = tokens[0]
-        name = self.name_token(line, tokens, head)
-        args = self.kv_args(line, tokens[2:], {"arms", "alt", "alpha"})
-        arm_items = self.two_items(line, args, "arms", head, "arm modes")
-        alt_items = self.two_items(line, args, "alt", head, "alt modes")
-        arms = tuple(self.mode_item(line, t) for t in arm_items)
-        alt = tuple(self.mode_item(line, t) for t in alt_items)
-        alpha = self.float_value(line, args["alpha"]) if "alpha" in args else math.pi / 4
-        self.statements.append(SourceStmt(name.text, arms, alt, alpha, line=line))
+_REPORT_ARGS = {"entropy": {"split"}, "ghz": {"a", "b"}, "outcomes": {"paths"}}
 
-    def aom_stmt(self, line: int, tokens: list[_Token]):
-        head = tokens[0]
-        name = self.name_token(line, tokens, head)
-        args = self.kv_args(line, tokens[2:], {"in", "out", "shift", "t", "convention"})
-        in_items = self.two_items(line, args, "in", head, "inputs")
-        out_items = self.two_items(line, args, "out", head, "outputs")
-        inputs = tuple(self.mode_item(line, t) for t in in_items)
-        outputs = tuple(self.path_item(line, t) for t in out_items)
-        shift = self.int_value(line, args["shift"]) if "shift" in args else 1
-        t_amp = self.float_value(line, args["t"]) if "t" in args else BALANCED_T
-        convention = Convention.UNITARY
-        if "convention" in args:
-            tok = args["convention"]
-            values = {c.value: c for c in Convention}
-            if tok.text not in values:
-                self.fail(line, tok, f"convention must be one of {sorted(values)}")
-            convention = values[tok.text]
-        self.statements.append(
-            AomStmt(name.text, inputs, outputs, shift, t_amp, convention, line=line)
-        )
 
-    def filter_stmt(self, line: int, tokens: list[_Token]):
-        head = tokens[0]
-        name = self.name_token(line, tokens, head)
-        args = self.kv_args(line, tokens[2:], {"path", "pass", "sigma"})
-        path = self.path_item(line, self.need(line, args, "path", head))
-        pass_bin = self.int_value(line, self.need(line, args, "pass", head))
-        sigma = self.float_value(line, args["sigma"], positive=True) if "sigma" in args else 1.0
-        self.statements.append(FilterStmt(name.text, path, pass_bin, sigma, line=line))
+def _report_stmt(tokens: list[_Token], line: int) -> Statement:
+    head = tokens[0]
+    if len(tokens) < 2:
+        raise _LineError(head, "missing report kind (entropy, ghz, or outcomes)")
+    kind = tokens[1].text
+    if kind not in _REPORT_ARGS:
+        raise _LineError(tokens[1], f"unknown report kind '{kind}'")
+    args = _kv_args(tokens[2:], _REPORT_ARGS[kind])
+    if kind == "ghz":
+        a_items = _items(_need(args, "a", head))
+        b_items = _items(_need(args, "b", head))
+        return ReportGhzStmt(tuple(map(_mode, a_items)), tuple(map(_mode, b_items)), line=line)
+    (key,) = _REPORT_ARGS[kind]  # entropy split=(...) or outcomes paths=(...)
+    paths = tuple(map(_path, _items(_need(args, key, head))))
+    return (ReportEntropyStmt if kind == "entropy" else ReportOutcomesStmt)(paths, line=line)
 
-    def herald_stmt(self, line: int, tokens: list[_Token]):
-        head = tokens[0]
-        rest = tokens[1:]
-        if not rest:
-            self.fail(line, head, "herald needs at least one count(...)==N clause")
-        clauses: list[tuple[tuple[str, ...], int]] = []
-        expect_clause = True
-        for tok in rest:
-            if expect_clause:
-                m = _COUNT_RE.match(tok.text)
-                if m is None:
-                    self.fail(line, tok, "expected clause of the form count(P,...)==N")
-                clauses.append((tuple(m.group(1).split(",")), int(m.group(2))))
-                expect_clause = False
-            else:
-                if tok.text != "and":
-                    self.fail(line, tok, "expected 'and' between herald clauses")
-                expect_clause = True
-        if expect_clause:
-            self.fail(line, rest[-1], "trailing 'and' without a clause")
-        self.statements.append(HeraldStmt(tuple(clauses), line=line))
 
-    def check_stmt(self, line: int, tokens: list[_Token]):
-        head = tokens[0]
-        if len(tokens) < 2 or tokens[1].text != "bandwidth":
-            self.fail(line, head, "expected 'check bandwidth pump=FLOAT'")
-        args = self.kv_args(line, tokens[2:], {"pump"})
-        pump = self.float_value(line, self.need(line, args, "pump", head), positive=True)
-        self.statements.append(CheckStmt(pump, line=line))
-
-    def report_stmt(self, line: int, tokens: list[_Token]):
-        head = tokens[0]
-        if len(tokens) < 2:
-            self.fail(line, head, "missing report kind (entropy, ghz, or outcomes)")
-        kind = tokens[1]
-        allowed = {"entropy": {"split"}, "ghz": {"a", "b"}, "outcomes": {"paths"}}
-        if kind.text not in allowed:
-            self.fail(line, kind, f"unknown report kind '{kind.text}'")
-        args = self.kv_args(line, tokens[2:], allowed[kind.text])
-        if kind.text == "ghz":
-            a_items = self.list_items(line, self.need(line, args, "a", head))
-            b_items = self.list_items(line, self.need(line, args, "b", head))
-            branch_a = tuple(self.mode_item(line, t) for t in a_items)
-            branch_b = tuple(self.mode_item(line, t) for t in b_items)
-            self.statements.append(ReportGhzStmt(branch_a, branch_b, line=line))
-        else:  # entropy split=(...) or outcomes paths=(...)
-            (key,) = allowed[kind.text]
-            items = self.list_items(line, self.need(line, args, key, head))
-            paths = tuple(self.path_item(line, t) for t in items)
-            stmt = ReportEntropyStmt if kind.text == "entropy" else ReportOutcomesStmt
-            self.statements.append(stmt(paths, line=line))
+_STATEMENTS = {
+    "source": _source_stmt,
+    "aom": _aom_stmt,
+    "filter": _filter_stmt,
+    "herald": _herald_stmt,
+    "check": _check_stmt,
+    "report": _report_stmt,
+}
 
 
 def parse(text: str) -> CircuitAst | list[ParseError]:
     """Parse circuit text; returns the AST or a non-empty list of errors."""
-    return _Parser().parse(text)
+    statements: list[Statement] = []
+    errors: list[ParseError] = []
+    for line, raw in enumerate(text.splitlines(), start=1):
+        tokens = [_Token(m.group(0), m.start() + 1)
+                  for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not tokens:
+            continue
+        head = tokens[0]
+        try:
+            if head.text not in _STATEMENTS:
+                raise _LineError(head, f"unknown statement '{head.text}'")
+            statements.append(_STATEMENTS[head.text](tokens, line))
+        except _LineError as exc:
+            tok, message = exc.args
+            errors.append(ParseError(line, tok.col, message, tok.text))
+    return errors or CircuitAst(tuple(statements))
 
 
 def format_circuit(ast: CircuitAst) -> str:
@@ -611,19 +606,20 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
 
     for stmt in ast.statements:
         try:  # an invalid spec or herald rule is an error on the statement's line
+            # a spec checks that its own paths are distinct before any is declared
             if isinstance(stmt, SourceStmt):
+                sources.append(SourceSpec(stmt.name, stmt.arms, stmt.alt, stmt.alpha))
                 for mode in stmt.arms + stmt.alt:
                     declare(mode.path, stmt.line)
-                sources.append(SourceSpec(stmt.name, stmt.arms, stmt.alt, stmt.alpha))
             elif isinstance(stmt, AomStmt):
                 for mode in stmt.inputs:
                     known(mode.path, stmt.line)
-                for path in stmt.outputs:
-                    declare(path, stmt.line)
                 elements.append(AomSpec(
                     stmt.name, stmt.inputs[0], stmt.inputs[1], output_x=stmt.outputs[0],
                     output_y=stmt.outputs[1], shift=stmt.shift, t_amp=stmt.t_amp,
                     phase_convention=stmt.convention))
+                for path in stmt.outputs:
+                    declare(path, stmt.line)
             elif isinstance(stmt, FilterStmt):
                 known(stmt.path, stmt.line)
                 elements.append(FilterSpec(stmt.path, stmt.pass_bin, stmt.sigma))

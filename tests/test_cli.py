@@ -49,9 +49,16 @@ def test_outcome_table_matches_the_line_by_line_print(labels, capsys):
     assert capsys.readouterr().out == printed_line_by_line(outcomes)
 
 
-def test_run_missing_file(capsys):
+def test_run_missing_file(tmp_path, capsys):
     assert main(["run", "/nonexistent/none.qc"]) == 2
     assert "cannot read" in capsys.readouterr().err
+    # a file that is not UTF-8 cannot be read either: no internal error
+    bad = tmp_path / "bad.qc"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert err.count("\n") == 1
 
 
 def test_run_parse_error_reports_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Circuit language: parsing, diagnostics, formatting, compiled pipelines."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -117,6 +118,28 @@ def test_duplicate_path_declaration():
 def test_malformed_number():
     errs = parse_bad("source S1 arms=(1@0,2@1) alt=(1'@1,2'@0) alpha=fast")
     assert "malformed number" in errs[0].message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("source S arms=(a@0,b@1) alt=(a@1,d@0)\n", "S: the four source paths must be distinct"),
+    ("source S1 arms=(a@0,b@1) alt=(c@1,d@0)\n"
+     "source S2 arms=(e@0,f@1) alt=(g@1,h@0)\n"
+     "aom A in=(b@1,e@0) out=(x,x)\n", "A: the four paths must be distinct"),
+], ids=["source", "aom"])
+def test_path_repeated_within_one_statement(text, message, tmp_path, capsys):
+    """No earlier statement declared the path: the statement's own spec rejects it."""
+    err = compile_bad(text)
+    assert err.line == len(text.splitlines())
+    assert err.message == message
+    ast = parse_ok(text)  # a programmatic AST, without lines
+    stmts = tuple(dataclasses.replace(s, line=0) for s in ast.statements)
+    with pytest.raises(CompileError) as exc:
+        compile_circuit(CircuitAst(stmts))
+    assert exc.value.message == message
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(text)
+    assert main(["run", str(circuit)]) == 2
+    assert capsys.readouterr().err == f"{circuit}: {err}\n"
 
 
 def test_undeclared_path():
