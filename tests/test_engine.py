@@ -135,6 +135,50 @@ def test_ket_order_and_grouping_match_python_sorting():
         assert first.tolist() == [rows.index(r) for r in distinct]
 
 
+def assert_groups_like_python(values):
+    rows = [tuple(r) for r in values.tolist()]
+    distinct = sorted(set(rows))
+    ids, first = engine._group(values)
+    assert ids.tolist() == [distinct.index(r) for r in rows]
+    assert first.tolist() == [rows.index(r) for r in distinct]
+
+
+@pytest.mark.parametrize("top, dtype", [
+    (1, np.int8), (127, np.int8), (200, np.int16), (255, np.int32), (300, np.int16),
+    (65535, np.int32), (70_000, np.int32), (70_000, np.int64), (2 ** 40, np.int64),
+])
+def test_grouping_matches_python_sorting_at_every_entry_width(top, dtype):
+    """Rows whose largest entry needs 1, 2, 4 or 8 bytes group as Python sorts tuples."""
+    rng = np.random.default_rng(top)
+    pool = np.array(sorted({0, 1, 2, top // 256, top // 2, top - 1, top}), dtype=dtype)
+    for n, cols in [(0, 3), (0, 0), (5, 0), (1, 1), (2, 4), *((int(n), int(c)) for n, c in zip(
+            rng.integers(3, 80, size=12), rng.integers(1, 9, size=12)))]:
+        values = pool[rng.integers(0, len(pool), size=(n, cols))]
+        if values.size:
+            values[rng.random(n) < 0.2] = 0  # zero rows
+            values.flat[rng.integers(values.size)] = top
+        assert_groups_like_python(values)
+        assert_groups_like_python(values[:, ::-1])  # not contiguous
+
+
+def test_ket_order_matches_python_sorting_up_to_the_largest_count():
+    """Counts up to ``MAX_OCCUPATION``, whose gap key is one more, order as ``FockKet`` sorts."""
+    rng = np.random.default_rng(11)
+    top = engine.MAX_OCCUPATION
+    pool = np.array([0, 1, 2, 64, top - 1, top], dtype=np.int8)
+    for cols in (0, 1, 2, 5, 9):
+        modes = tuple(M(p, b) for p in "abc" for b in range(3))[:cols]
+        for n in (0, 1, 2, 7, 40):
+            occ = pool[rng.integers(0, len(pool), size=(n, cols))]
+            if occ.size:
+                occ[rng.random(n) < 0.2] = 0  # vacuum rows
+                occ.flat[rng.integers(occ.size)] = top
+            kets = [FockKet({m: int(c) for m, c in zip(modes, row)}) for row in occ]
+            order = engine.ket_order(occ)
+            assert order.tolist() == sorted(range(n), key=kets.__getitem__)
+            assert sorted(order.tolist()) == list(range(n))
+
+
 def assert_ket_order(state):
     """Rows of an array state, or terms of a ``StateVector``, listed as ``FockKet`` sorts them."""
     if isinstance(state, StateVector):
