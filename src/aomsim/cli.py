@@ -15,9 +15,9 @@ every occupied cell, each distinct fragment and each distinct amplitude bit
 pattern encoded once, and each term is one format string that joins its
 row's fragments.  Outcome heads come from one ``%`` template per sorted
 tuple of metric keys, their floats encoded in one batch.  The compact text
-is assembled from those pieces and small ``json.dumps`` pieces with sorted
-keys, in one join.  ``--pretty`` re-indents that text; float reprs
-round-trip, so only whitespace changes.
+is those pieces and small ``json.dumps`` pieces with sorted keys, written
+piece by piece.  ``--pretty`` joins them once and re-indents the text;
+float reprs round-trip, so only whitespace changes.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ def _terms_json(outcomes: list[HeraldOutcome]) -> list[str]:
 
 
 def _outcomes_json(outcomes: list[HeraldOutcome]) -> list[str]:
-    """The report's ``outcomes`` list as pieces of text, to be joined once.
+    """The report's ``outcomes`` list as pieces of text, to be written in turn.
 
     A report is mostly its outcome states' terms; keeping each term a piece
-    of its own builds the report in one join, with no per-state copy.
+    of its own writes the report with no copy of a state's or the report's text.
     """
     terms = iter(_terms_json(outcomes))
     pieces = ["["]
@@ -178,8 +178,8 @@ def _report(
     metrics: dict[str, float],
     bandwidth_valid: bool | None,
     extra: dict | None = None,
-) -> str:
-    """The run report as compact JSON: sorted keys, floats at 12 significant digits."""
+) -> list[str]:
+    """The run report as pieces of compact JSON: sorted keys, floats at 12 significant digits."""
     fields = {
         "schema_version": SCHEMA_VERSION,
         "circuit": circuit,
@@ -192,23 +192,24 @@ def _report(
     # "circuit" sorts before "outcomes" and "schema_version" after it
     head = _compact({k: v for k, v in fields.items() if k < "outcomes"})
     tail = _compact({k: v for k, v in fields.items() if k > "outcomes"})
-    return "".join([head[:-1], ',"outcomes":', *_outcomes_json(outcomes), ",", tail[1:]])
+    return [head[:-1], ',"outcomes":', *_outcomes_json(outcomes), ",", tail[1:]]
 
 
-def _write(path: str, text: str) -> int:
-    """Write ``text`` to ``path``: exit code 0, or 2 if the path cannot be written."""
+def _write(path: str, pieces: list[str]) -> int:
+    """Write the text ``pieces`` to ``path`` in turn: exit code 0, or 2 if it cannot be written."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 2
     return 0
 
 
-def _write_json(report: str, path: str, pretty: bool) -> int:
+def _write_json(report: list[str], path: str, pretty: bool) -> int:
     if pretty:  # float reprs round-trip, so this only changes whitespace
-        report = json.dumps(json.loads(report), sort_keys=True, indent=2)
-    return _write(path, report + "\n")
+        report = [json.dumps(json.loads("".join(report)), sort_keys=True, indent=2)]
+    return _write(path, [*report, "\n"])
 
 
 def _print_outcomes(outcomes: list[HeraldOutcome]):
@@ -361,7 +362,7 @@ def cmd_sweep(args) -> int:
     lines += ["%.12g,%.12g,%.12g,%.12g" % row for row in zip(*columns)]
     text = "\n".join(lines) + "\n"
     if args.csv:
-        return _write(args.csv, text)
+        return _write(args.csv, [text])
     sys.stdout.write(text)
     return 0
 

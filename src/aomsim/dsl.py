@@ -66,6 +66,7 @@ from .errors import CompileError, SpecInvariantError, ZeroStateError
 from .experiments import (
     HeraldOutcome,
     HeraldRule,
+    _distinct,
     _herald,
     post_select,
     restrict_to_paths,
@@ -584,9 +585,9 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
     mismatches, reuse of a path by two declaring statements, references to
     undeclared paths, a second herald, a report before the herald, a
     ``report ghz`` with equal branches, a second ``report ghz`` (each would
-    write the one ``ghz_fidelity`` metric), or a report equal to an earlier
-    one (it would compute and write the same key twice).  The ``check
-    bandwidth`` verdict is decided here, once.
+    write the one ``ghz_fidelity`` metric), a report equal to an earlier one
+    (it would write the same key twice) or a path named twice in one list.
+    The ``check bandwidth`` verdict is decided here, once.
     """
     sources: list[SourceSpec] = []
     elements: list[AomSpec | FilterSpec] = []
@@ -629,8 +630,7 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
                 for paths, _ in stmt.clauses:
                     for p in paths:
                         known(p, stmt.line)
-                herald = HeraldRule(
-                    tuple((frozenset(paths), count) for paths, count in stmt.clauses))
+                herald = HeraldRule(stmt.clauses)
             elif isinstance(stmt, CheckStmt):
                 BandwidthCheck(stmt.pump)
                 pump = stmt.pump
@@ -645,6 +645,7 @@ def compile_circuit(ast: CircuitAst) -> Pipeline:
                     raise CompileError("repeated report statement", stmt.line)
                 else:
                     paths = stmt.split if isinstance(stmt, ReportEntropyStmt) else stmt.paths
+                    _distinct(paths, "report")
                 for p in paths:
                     known(p, stmt.line)
                 reports.append(stmt)

@@ -35,7 +35,7 @@ plus outputs).  Each distinct sub-occupation is expanded once through the
 bosonic lift (:func:`_lift_sub`); the image tables are memoised by element
 map and sub-occupation, the amplitude sharing of SLOS (Heurtel et al.,
 arXiv:2206.10549).  Rows are expanded with ``np.repeat`` and duplicates are
-merged with a stable grouping on packed row keys and ``np.bincount``.
+merged with a stable sort of the rows' bytes and ``np.bincount``.
 
 Row plans (order, grouping, expansion) depend only on the occupations, so
 those of small matrices are memoised (:func:`memo_small`).
@@ -104,12 +104,11 @@ TERM_BUDGET = 1 << 20
 """Most rows (terms) one step may allocate, counted over every member of a batch.
 
 The largest step of a k=7 swap chain holds 235,298 rows over 52 modes; a
-k=8 chain would pass the budget.  That step's lift peaks at 143 MB of
-traced allocations, 637 bytes per output row (about 12 per row and mode),
-where its occupation matrix takes 52 bytes per row; about half of it is
-the int64 copy of the key matrix that :func:`_pack` multiplies.  At 2^20
-rows and 100 modes the occupation matrix alone takes 100 MB, 2^20
-amplitudes take 16 MB, and a lift at that rate would peak near 1.3 GB.
+k=8 chain would pass the budget.  That step's lift peaks at 56 MB of
+traced allocations, 238 bytes per output row (about 4.6 per row and mode),
+where its occupation matrix takes 52 bytes per row.  At 2^20 rows and 100
+modes the occupation matrix alone takes 100 MB, 2^20 amplitudes take
+16 MB, and a lift at that rate would peak near 500 MB.
 """
 
 MAX_OCCUPATION = int(np.iinfo(np.int8).max)
@@ -250,7 +249,7 @@ def kept_rows(amp: np.ndarray) -> np.ndarray:
     if nz.ndim == 1:
         return nz
     if len(nz) > 1 and not (nz == nz[0]).all():
-        ids, first = _group(nz.view(np.int8))
+        ids, first = _group(nz)
         raise BatchSplit([np.flatnonzero(ids == g) for g in range(len(first))])
     return nz[0]
 
@@ -425,68 +424,58 @@ def memo_small(plan):
 # ------------------------------------------------------------- row ordering
 
 
-def _pack(values: np.ndarray) -> list[np.ndarray]:
-    """Rows of non-negative integers as int64 words, first column most significant.
+def _byte_rows(values: np.ndarray) -> np.ndarray:
+    """Rows of non-negative integers as ``np.void`` values that compare as the rows do.
 
-    Each column gets the bit width of its largest value, so comparing the
-    words in order compares the rows lexicographically.
+    Every entry is written big-endian and unsigned, all at the narrowest of
+    1, 2, 4 or 8 bytes that holds the largest entry, so comparing two values
+    byte by byte compares the rows lexicographically.
     """
-    weights = [[0] * values.shape[1]]  # per word, the weight of each column
-    used = 0
-    for j, width in reversed(list(enumerate(
-            int(w).bit_length() for w in values.max(axis=0).tolist()))):
-        if used + width > 63:
-            weights.insert(0, [0] * values.shape[1])
-            used = 0
-        if width:
-            weights[0][j] = 1 << used
-            used += width
-    return [values @ np.array(w, dtype=np.int64) for w in weights]
+    if not values.shape[1]:
+        values = np.zeros((len(values), 1), dtype=np.uint8)
+    top = int(values.max(initial=0))
+    width = next(w for w in (1, 2, 4, 8) if top >> 8 * w == 0)
+    data = np.ascontiguousarray(values, dtype=f">u{width}")
+    return data.view(np.dtype((np.void, data.itemsize * data.shape[1])))[:, 0]
 
 
 def _group(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows: (group of each row, first row of each group).
 
     Groups are numbered in lexicographic row order, and a group's first row
-    is its first occurrence.
+    is its first occurrence (a stable sort of the rows' :func:`_byte_rows`).
     """
-    if not len(values):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    words = _pack(values)
-    order = np.lexsort(words[::-1])  # stable, so each group starts at its first row
-    new = np.zeros(len(order), dtype=bool)
-    new[0] = True
-    for w in words:
-        ws = w[order]
-        new[1:] |= ws[1:] != ws[:-1]
+    keys = _byte_rows(values)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
     ids = np.empty(len(order), dtype=np.intp)
     ids[order] = np.cumsum(new) - 1
     return ids, order[new]
 
 
 def _ket_keys(occ: np.ndarray) -> np.ndarray:
-    """Rows recoded so that they compare lexicographically as their kets compare.
+    """``int8`` rows as ``uint8`` keys that compare lexicographically as their kets compare.
 
     Kets compare as tuples of ``(mode, count)`` pairs, and columns are
-    sorted by mode.  In packed form: at the first column where two rows
+    sorted by mode.  In key form: at the first column where two rows
     differ, a smaller count comes first; a row with no photon there comes
     after, since its next pair has a later mode, unless it has no photon
     left at all, since a tuple that ends first is smaller.
     """
-    if not occ.size:  # no rows, or only vacua
-        return occ
     occupied = occ != 0
-    # one past each row's last occupied column (0 for the vacuum)
-    end = np.where(occupied.any(axis=1), occ.shape[1] - np.argmax(occupied[:, ::-1], axis=1), 0)
-    gap = (np.arange(occ.shape[1]) < end[:, None]) & ~occupied
-    return occ + gap * np.int16(int(occ.max()) + 1)
+    keys = np.empty(occ.shape, dtype=np.uint8)  # first, the columns up to each row's last photon
+    np.logical_or.accumulate(occupied[:, ::-1], axis=1, out=keys.view(bool)[:, ::-1])
+    keys ^= occupied.view(np.uint8)  # the gaps: empty columns before the row's last photon
+    keys <<= 7  # a gap is keyed 128, MAX_OCCUPATION + 1; a count is 0 there
+    keys |= occ.view(np.uint8)
+    return keys
 
 
 def ket_order(occ: np.ndarray) -> np.ndarray:
-    """Row permutation listing kets as ``FockKet`` sorts them."""
-    if not occ.size:
-        return np.arange(len(occ))
-    return np.lexsort(_pack(_ket_keys(occ))[::-1])
+    """Row permutation listing kets as ``FockKet`` sorts them (stably, by their keys' bytes)."""
+    return np.argsort(_byte_rows(_ket_keys(occ)), kind="stable")
 
 
 # ------------------------------------------------------------------ kernels

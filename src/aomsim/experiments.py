@@ -64,6 +64,13 @@ __all__ = [
 ]
 
 
+def _distinct(paths: tuple[str, ...], what: str):
+    """Raise ``ValueError`` at the first path that the list ``what`` names a second time."""
+    for i, p in enumerate(paths):
+        if p in paths[:i]:
+            raise ValueError(f"{what} names path '{p}' twice")
+
+
 @dataclass(frozen=True)
 class HeraldRule:
     """Exact photon-count requirements over disjoint path sets.
@@ -71,15 +78,17 @@ class HeraldRule:
     A pattern satisfies the rule iff every clause's photon total over its
     path set equals the required count exactly (number-resolving semantics).
     A herald lists each accepted pattern as an outcome of its own, then all
-    rejected patterns as one ``discard`` bucket.
+    rejected patterns as one ``discard`` bucket.  A clause names each path once.
     """
 
     clauses: tuple[tuple[frozenset[str], int], ...]
 
     def __init__(self, clauses):
-        normed = tuple((frozenset(paths), int(count)) for paths, count in clauses)
+        normed = tuple((tuple(paths), int(count)) for paths, count in clauses)
         seen: set[str] = set()
-        for paths, count in normed:
+        for listed, count in normed:
+            _distinct(listed, "herald clause")
+            paths = frozenset(listed)
             if count < 0:
                 raise ValueError("herald counts must be non-negative")
             if not paths:
@@ -87,7 +96,7 @@ class HeraldRule:
             if seen & paths:
                 raise ValueError("herald clauses must use pairwise-disjoint path sets")
             seen |= paths
-        object.__setattr__(self, "clauses", normed)
+        object.__setattr__(self, "clauses", tuple((frozenset(p), c) for p, c in normed))
 
     def paths(self) -> tuple[str, ...]:
         return tuple(sorted(set().union(*(paths for paths, _ in self.clauses))))

@@ -405,11 +405,9 @@ def _reduce(states: list, keep_paths) -> tuple:
     state = np.repeat(np.arange(len(arrays)), sizes)
 
     # the basis: distinct kept occupations per state, in ket order within each
-    ids, first = engine._group(np.column_stack([state, occ[:, keep]]))
-    listed = first[engine.ket_order(occ[first][:, keep])]
-    listed = listed[np.argsort(state[listed], kind="stable")]
+    ids, listed = engine._group(np.column_stack([state, engine._ket_keys(occ[:, keep])]))
     dims = np.bincount(state[listed], minlength=len(arrays))
-    index = np.argsort(ids[listed])[ids] - np.repeat(np.cumsum(dims) - dims, sizes)
+    index = ids - np.repeat(np.cumsum(dims) - dims, sizes)
 
     # rows grouped by traced-out occupation, groups in order of first occurrence
     rest, first = engine._group(np.column_stack([state, occ[:, ~keep]]))

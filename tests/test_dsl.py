@@ -444,6 +444,28 @@ def test_compile_rejects_a_repeated_report_in_programmatic_ast():
     assert len(compile_circuit(CircuitAst(ast.statements + reports)).reports) == 3
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("herald count(T1,T1')==1", "herald count(T1,T1)==1", "herald clause names path 'T1' twice"),
+    ("report entropy split=(1,1')", "report entropy split=(1,1)", "report names path '1' twice"),
+    ("report entropy split=(1,1')", "report outcomes paths=(T1,T1)",
+     "report names path 'T1' twice"),
+])
+def test_compile_rejects_a_path_named_twice_in_one_list(old, new, message, tmp_path, capsys):
+    """A repeated path would merge into one herald path set, or name a metric by both."""
+    text = SWAP_TEXT.replace(old, new)
+    err = compile_bad(text)
+    line = next(i for i, s in enumerate(text.splitlines(), 1) if s.startswith(new.split()[0]))
+    assert (err.line, err.message) == (line, message)
+    statements = tuple(dataclasses.replace(s, line=0) for s in parse_ok(text).statements)
+    with pytest.raises(CompileError) as exc:  # a programmatic AST, without lines
+        compile_circuit(CircuitAst(statements))
+    assert str(exc.value) == message
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(text)
+    assert main(["run", str(circuit)]) == 2
+    assert capsys.readouterr().err == f"{circuit}: {err}\n"
+
+
 def run_bits(result) -> tuple:
     """A run as exact text and bytes: every outcome, probability and metric in order."""
     return ([(outcome_bits(o), repr(o.metrics)) for o in result.outcomes],

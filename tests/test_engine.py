@@ -297,12 +297,12 @@ def test_cli_exits_1_when_a_chain_exceeds_the_term_budget(tmp_path, monkeypatch,
     assert "budget" in err and "Traceback" not in err
 
 
-LIFT_PEAK_BYTES_PER_CELL = 14.0
+LIFT_PEAK_BYTES_PER_CELL = 6.5
 """Bound on a lift's peak traced allocation per output cell (rows times columns).
 
-Measured at 12.8 on the last lift of ``tests/golden/chain5.qc`` (2,744 rows
-in, 4,802 rows out, 36 columns); about half of it is the int64 copy of the
-key matrix that ``engine._pack`` multiplies.
+Measured at 5.4 on the last lift of ``tests/golden/chain5.qc`` (2,744 rows
+in, 4,802 rows out, 36 columns): the expanded occupations, the two masks
+that make their ket keys and the keys take one byte per cell each.
 """
 
 

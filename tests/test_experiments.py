@@ -109,6 +109,16 @@ def test_herald_rule_validation():
         HeraldRule([(set(), 1)])
 
 
+@pytest.mark.parametrize("paths, twice", [(("a", "a"), "a"), (["b", "a", "b"], "b"),
+                                          (("a", "b", "a", "b"), "a")])
+def test_herald_rule_rejects_a_clause_that_names_a_path_twice(paths, twice):
+    """A clause is a set of paths: a sequence that repeats one would merge it silently."""
+    with pytest.raises(ValueError, match=f"herald clause names path '{twice}' twice"):
+        HeraldRule([(paths, 1)])
+    assert HeraldRule([(set(paths), 1)]).clauses == ((frozenset(paths), 1),)
+    assert HeraldRule([(tuple(dict.fromkeys(paths)), 1)]).clauses == ((frozenset(paths), 1),)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_post_select_probabilities_always_complete(seed, na, nb):

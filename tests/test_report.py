@@ -64,9 +64,9 @@ def assert_encodes_like_reference(outcomes, tmp_path, bandwidth_valid=None, extr
     for few_rows in (0, 10 ** 9):  # every report through both paths of the encoder
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(states, "_FEW_ROWS", few_rows)
-            text = _report(*args)
-        assert text == json.dumps(want, sort_keys=True, separators=(",", ":"))
-    _write_json(text, tmp_path / "pretty.json", pretty=True)
+            pieces = _report(*args)
+        assert "".join(pieces) == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    _write_json(pieces, tmp_path / "pretty.json", pretty=True)
     assert (tmp_path / "pretty.json").read_text() == json.dumps(want, sort_keys=True,
                                                                  indent=2) + "\n"
     return want
