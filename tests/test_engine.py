@@ -179,6 +179,28 @@ def test_ket_order_matches_python_sorting_up_to_the_largest_count():
             assert sorted(order.tolist()) == list(range(n))
 
 
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_all_zero_columns_never_decide_ket_order_or_grouping(data):
+    """All-zero columns inserted anywhere leave the ket order and the row groups as they were.
+
+    Ket order: where two rows first differ in a new column, they agreed on
+    every column before it, so the row with a photon left has the gap key
+    there and the other row 0, as they compare at their first difference
+    without the column.  Grouping compares rows entry by entry, and a column
+    of zeros adds one equal entry to every pair.
+    """
+    cols = data.draw(st.integers(0, 6))
+    cell = st.sampled_from([0, 0, 1, 2, engine.MAX_OCCUPATION])
+    rows = data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), max_size=12))
+    occ = np.array(rows, dtype=np.int8).reshape(len(rows), cols)
+    at = data.draw(st.lists(st.integers(0, cols), min_size=1, max_size=4))
+    widened = np.insert(occ, at, 0, axis=1)
+    assert engine.ket_order(widened).tolist() == engine.ket_order(occ).tolist()
+    (ids, first), (wide_ids, wide_first) = engine._group(occ), engine._group(widened)
+    assert (wide_ids.tolist(), wide_first.tolist()) == (ids.tolist(), first.tolist())
+
+
 def assert_ket_order(state):
     """Rows of an array state, or terms of a ``StateVector``, listed as ``FockKet`` sorts them."""
     if isinstance(state, StateVector):
