@@ -61,8 +61,6 @@ def _round_floats(obj):
         return _sig12(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -240,7 +238,7 @@ def _print_pipeline_result(name: str, convention: Convention | None, result: Pip
 
 def cmd_run(args) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8-sig")  # a byte-order mark is not text
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2

@@ -223,14 +223,13 @@ def make_source(spec: SourceSpec, modes: tuple[ModeLabel, ...] | None = None,
                 alpha: float | list[float] | None = None) -> StateVector | ArrayState:
     """Two-term biphoton state of the source; alpha = pi/4 gives 1/sqrt(2) each.
 
-    Given a circuit's compiled ``modes`` (see :func:`circuit_modes`), returns
-    the two rows as an :class:`~aomsim.engine.ArrayState` over those columns;
-    ``alpha`` then replaces ``spec.alpha``, and a list of angles gives a
-    batch with one member per angle.
+    ``alpha`` replaces ``spec.alpha``.  Without ``modes``, returns a
+    :class:`StateVector`; given a circuit's compiled ``modes`` (see
+    :func:`circuit_modes`), the rows over those and the source's own as an
+    :class:`~aomsim.engine.ArrayState`, a list of angles giving a batch.
     """
-    if modes is not None:
-        return engine.source(spec, modes, alpha)
-    return as_state(engine.source(spec, tuple(sorted(spec.arms + spec.alt))))
+    rows = engine.source(spec, () if modes is None else modes, alpha)
+    return rows if modes is not None else as_state(rows)
 
 
 def circuit_modes(sources, ops) -> tuple[ModeLabel, ...]:

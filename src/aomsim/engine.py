@@ -3,8 +3,8 @@
 A state over a fixed, sorted tuple of modes (one column per mode) is an
 occupation matrix ``occ: int8[terms, modes]`` plus an amplitude vector
 ``amp: complex128[terms]``, held by :class:`ArrayState`.  The kernels here
-build the source tensor product by broadcasting, lift element mode maps,
-filter rows and group rows by herald pattern.  ``FockKet`` and
+widen states (:func:`widen`), build the source tensor product, lift element
+mode maps, filter rows, and order and group rows.  ``FockKet`` and
 ``StateVector`` appear only at the API boundary (:mod:`aomsim.states`).
 
 Rows are in ket order, as ``FockKet`` sorts them (:func:`ket_order`): the
@@ -92,11 +92,11 @@ __all__ = [
     "unit",
     "unit_rows",
     "normalize",
+    "widen",
     "source",
     "tensor",
     "lift",
     "filter_rows",
-    "herald_groups",
     "count_distribution",
 ]
 
@@ -481,8 +481,23 @@ def ket_order(occ: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------ kernels
 
 
+def widen(state: ArrayState, modes) -> ArrayState:
+    """The state over its columns plus ``modes``, sorted; the new columns are all zero.
+
+    Rows keep their order: where two rows first differ in an all-zero column, the one with
+    photons left has the gap key there, the other 0, as at their next difference without it.
+    """
+    columns = tuple(sorted({*state.modes, *modes}))
+    if columns == state.modes:
+        return state
+    index = {m: j for j, m in enumerate(columns)}
+    occ = np.zeros((len(state.occ), len(columns)), dtype=np.int8)
+    occ[:, [index[m] for m in state.modes]] = state.occ
+    return ArrayState(columns, occ, state.amp, state.non_unitary)
+
+
 def source(spec, modes, alpha: float | list[float] | None = None) -> ArrayState:
-    """Rows of ``cos(alpha)|arms> + sin(alpha)|alt>`` over ``modes``.
+    """Rows of ``cos(alpha)|arms> + sin(alpha)|alt>`` over ``modes`` and the source's own modes.
 
     ``alpha`` replaces ``spec.alpha``; a list of angles gives a batch with
     one member per angle; an empty list raises :class:`SpecInvariantError`.
@@ -496,26 +511,27 @@ def source(spec, modes, alpha: float | list[float] | None = None) -> ArrayState:
     _check_budget(2, f"{spec.name} source", len(angles))
     if not all(map(math.isfinite, angles)):
         raise SpecInvariantError(f"{spec.name}: alpha must be a finite number")
-    occ, arms_row = _source_rows(spec.arms, spec.alt, tuple(modes))
+    columns, occ, arms_row = _source_rows(spec.arms, spec.alt, tuple(modes))
     amp = np.zeros((len(angles), 2), dtype=complex)
     amp.real[:, arms_row] = list(map(math.cos, angles))  # (a third of the time of a list of pairs)
     amp.real[:, 1 - arms_row] = list(map(math.sin, angles))
     if not batch:
         amp = amp[0]
     keep = kept_rows(amp)
-    return ArrayState(tuple(modes), occ.compress(keep, axis=0), select(amp, keep))
+    return ArrayState(columns, occ.compress(keep, axis=0), select(amp, keep))
 
 
 @lru_cache(maxsize=256)
-def _source_rows(arms: tuple, alt: tuple, modes: tuple) -> tuple[np.ndarray, int]:
-    """A source's two rows over ``modes`` in ket order (read-only), and the row of ``arms``."""
-    index = {m: j for j, m in enumerate(modes)}
-    occ = np.zeros((2, len(modes)), dtype=np.int8)
+def _source_rows(arms: tuple, alt: tuple, modes: tuple) -> tuple[tuple, np.ndarray, int]:
+    """``modes`` plus the source's own, the two rows over them in ket order (read-only), arms'."""
+    columns = tuple(sorted({*modes, *arms, *alt}))
+    index = {m: j for j, m in enumerate(columns)}
+    occ = np.zeros((2, len(columns)), dtype=np.int8)
     for r, pair in enumerate((arms, alt)):
         for m in pair:
             occ[r, index[m]] += 1
     order = ket_order(occ)
-    return _read_only(occ[order]), int(order[0])  # two rows: order is its own inverse
+    return columns, _read_only(occ[order]), int(order[0])  # two rows: order is its own inverse
 
 
 @memo_small
@@ -533,13 +549,13 @@ def _tensor_plan(a: np.ndarray, modes: tuple, b_raw: bytes, b_shape: tuple):
 
 
 def tensor(a: ArrayState, b: ArrayState) -> ArrayState:
-    """Tensor product of states on disjoint path sets and the same columns.
+    """Tensor product of states on disjoint path sets, over the union of their columns.
 
     Each row is a ket of ``a`` times a ket of ``b``, rows in ket order.
     Batches multiply member by member.
     """
     if a.modes != b.modes:
-        raise ValueError("tensor operands must share their columns")
+        a, b = widen(a, b.modes), widen(b, a.modes)
     _check_budget(len(a.occ) * len(b.occ), "tensor product",
                   max(_batch_size(a.amp), _batch_size(b.amp)))
     plan = _tensor_plan if len(b.occ) <= _MEMO_ROWS else _tensor_plan.__wrapped__
@@ -726,25 +742,6 @@ def _path_counts(occ: np.ndarray, modes: tuple, paths) -> np.ndarray:
         if cols:
             counts[:, i] = occ[:, cols].sum(axis=1, dtype=np.int32)
     return counts
-
-
-def herald_groups(occ: np.ndarray, modes: tuple, paths: tuple[str, ...], clauses
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows grouped by their photon-count pattern over ``paths``.
-
-    Returns ``(ids, patterns, sizes, accepted)``: ``ids`` gives each row's
-    group; ``patterns``, ``sizes`` and ``accepted`` are per group, groups in
-    sorted pattern order.  A pattern is accepted iff every ``(clause paths,
-    count)`` total matches.
-    """
-    counts = _path_counts(occ, modes, paths)
-    ids, first = _group(counts)
-    patterns = counts[first]
-    index = {p: i for i, p in enumerate(paths)}
-    accepted = np.ones(len(first), dtype=bool)
-    for clause_paths, required in clauses:
-        accepted &= patterns[:, [index[p] for p in clause_paths]].sum(axis=1) == required
-    return ids, patterns, np.bincount(ids, minlength=len(first)), accepted
 
 
 def count_distribution(state: ArrayState, paths) -> dict[int, float]:

@@ -188,7 +188,12 @@ def _herald_plan(occ, modes: tuple, rule: HeraldRule):
     pattern, whose rows are in ket order too, whatever their patterns.
     """
     paths = rule.paths()
-    ids, patterns, sizes, accepted = engine.herald_groups(occ, modes, paths, rule.clauses)
+    counts = engine._path_counts(occ, modes, paths)
+    ids, first = engine._group(counts)  # groups in pattern order
+    patterns, sizes = counts[first], np.bincount(ids, minlength=len(first))
+    accepted = np.ones(len(first), dtype=bool)
+    for clause_paths, required in rule.clauses:  # as HeraldRule accepts a pattern
+        accepted &= patterns[:, [paths.index(p) for p in clause_paths]].sum(axis=1) == required
     groups = np.flatnonzero(accepted)
     rank = np.full(len(sizes), len(groups))  # the discard bucket's groups rank last
     rank[groups] = np.arange(len(groups))

@@ -357,7 +357,7 @@ def tensor(a: StateVector | ArrayState, b: StateVector | ArrayState) -> StateVec
     Returns the kind of state ``a`` is, a :class:`StateVector` or an
     :class:`ArrayState`.
     """
-    return match_kind(a, engine.tensor(*shared_columns([a, b])))
+    return match_kind(a, engine.tensor(as_arrays(a), as_arrays(b)))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -373,11 +373,11 @@ def normalize(s: StateVector) -> StateVector:
 
 
 def shared_columns(states: list[StateVector | ArrayState]) -> list[ArrayState]:
-    """The states as rows over one tuple of columns, the union of theirs, in order."""
+    """The states as rows over one tuple of columns, the union of theirs, rows in order."""
     arrays = [as_arrays(s) for s in states]
     if any(a.modes != arrays[0].modes for a in arrays):  # states built one by one
-        modes = tuple(sorted(set().union(*(a.modes for a in arrays))))
-        arrays = [as_arrays(as_state(a), modes) for a in arrays]
+        modes = set().union(*(a.modes for a in arrays))
+        arrays = [engine.widen(a, modes) for a in arrays]
     return arrays
 
 

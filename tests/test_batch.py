@@ -16,10 +16,13 @@ from aomsim import (
     SpecInvariantError,
     compile_circuit,
     engine,
+    entanglement_entropy,
     make_aom,
     make_source,
     parse,
+    post_select,
     run_ghz,
+    tensor,
 )
 from aomsim.cli import main
 from aomsim.elements import circuit_modes
@@ -150,6 +153,36 @@ def test_an_empty_batch_of_angles_is_a_spec_error():
     sweep = run_ghz([])  # no batch to evolve: an empty table
     assert sweep.alpha == [] and len(sweep.success_probability) == len(sweep.fidelity) == 0
     assert all(len(p) == 0 for p in sweep.per_detector.values())
+
+
+def test_tensor_of_batches_on_different_columns_matches_member_tensors_in_every_bit():
+    """Each operand is widened to the union of the columns; members multiply pairwise."""
+    one = source_spec()
+    two = SourceSpec("T", arms=(M("e", 0), M("f", 1)), alt=(M("g", 1), M("h", 0)))
+    own = {spec: tuple(sorted(spec.arms + spec.alt)) for spec in (one, two)}
+    first, second = [0.3, 0.9, 1.2, -0.4], [0.5, 0.1, 1.4, 2.0]
+    product = tensor(make_source(one, own[one], first), make_source(two, own[two], second))
+    assert product.modes == tuple(sorted(own[one] + own[two])) and product.amp.shape == (4, 4)
+    for member, (a, b) in enumerate(zip(first, second)):
+        alone = tensor(make_source(one, own[one], a), make_source(two, own[two], b))
+        assert alone.modes == product.modes and np.array_equal(alone.occ, product.occ)
+        assert bits(alone.amp) == bits(product.amp[member])
+
+
+def test_herald_and_partial_trace_wrappers_take_single_states():
+    spec = source_spec()
+    batch = make_source(spec, tuple(sorted(spec.arms + spec.alt)), [0.3, 0.9])
+    with pytest.raises(ValueError, match="post_select takes one state, not a batch"):
+        post_select(batch, HeraldRule([({"a", "c"}, 1)]))
+    with pytest.raises(ValueError, match="a partial trace takes single states, not batches"):
+        entanglement_entropy(batch, {"a", "b"})
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, [0.3, math.nan]])
+def test_a_pipeline_run_rejects_an_angle_that_is_not_finite(alpha):
+    pipeline = compile_circuit(parse((CIRCUITS / "ghz.qc").read_text()))
+    with pytest.raises(SpecInvariantError, match="S1: alpha must be a finite number"):
+        pipeline.run(alpha=alpha)
 
 
 def test_batch_over_the_budget_is_chunked_and_a_single_state_raises(monkeypatch):

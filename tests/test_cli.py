@@ -61,6 +61,27 @@ def test_run_missing_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_run_reads_past_a_utf8_byte_order_mark(tmp_path, capsys):
+    """A copy of ``swap.qc`` with a byte-order mark writes the plain copy's report bytes."""
+    text = (CIRCUITS / "swap.qc").read_bytes()
+    circuit, report = tmp_path / "swap.qc", tmp_path / "report.json"
+    written = []
+    for data in (text, b"\xef\xbb\xbf" + text):
+        circuit.write_bytes(data)  # the same path: the report names its circuit
+        assert main(["run", str(circuit), "--json", str(report)]) == 0
+        written.append(report.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert written[0] == written[1]
+
+
+def test_run_without_json_prints_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", SWAP_QC]) == 0
+    out = capsys.readouterr().out
+    assert "success probability: 0.500000" in out and "discard" in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_parse_error_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.qc"
     bad.write_text("source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\naom A1 in=(2@1)\n")

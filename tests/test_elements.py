@@ -25,6 +25,7 @@ from aomsim import (
     make_source,
     normalize,
 )
+from aomsim.states import as_state
 from conftest import M, max_amplitude_dev, random_state
 
 SQ2 = 1 / math.sqrt(2)
@@ -215,6 +216,20 @@ def test_source_alpha_pi_third():
     s = make_source(spec)
     assert s.amplitude(FockKet({M("1", 0): 1, M("2", 1): 1})) == pytest.approx(0.5)
     assert s.amplitude(FockKet({M("1'", 1): 1, M("2'", 0): 1})) == pytest.approx(math.sqrt(3) / 2)
+
+
+def test_source_honours_alpha_without_modes():
+    s = make_source(balanced_source(), alpha=0.3)
+    assert s.terms == {FockKet({M("1", 0): 1, M("2", 1): 1}): complex(math.cos(0.3)),
+                       FockKet({M("1'", 1): 1, M("2'", 0): 1}): complex(math.sin(0.3))}
+
+
+def test_source_rows_cover_the_given_modes_and_the_source_own():
+    spec = balanced_source()
+    given = (M("0", 0), M("1", 0), M("3", 2))  # lacks three of the source's four modes
+    rows = make_source(spec, given, 0.3)
+    assert rows.modes == tuple(sorted({*given, *spec.arms, *spec.alt}))
+    assert as_state(rows) == make_source(spec, alpha=0.3)
 
 
 def test_source_requires_distinct_paths():

@@ -300,6 +300,33 @@ def test_tensor_over_budget_raises(monkeypatch):
         engine.tensor(one, two)
 
 
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_an_element_on_no_terms_gives_no_terms_and_its_flag(convention):
+    op = make_aom(AomSpec("A", M("a", 1), M("b", 0), "x", "y", phase_convention=convention))
+    out = apply_element(StateVector(), op)
+    assert out == StateVector({}, non_unitary=convention is Convention.PAPER_LITERAL)
+
+
+def test_unit_refuses_a_span_of_terms_whose_norm_is_zero():
+    with pytest.raises(ZeroStateError, match="zero state"):
+        engine.unit(np.zeros(2, dtype=complex))
+    with pytest.raises(ZeroStateError, match="zero state"):
+        engine.unit(np.array([0.6, 0.0, 0.0], dtype=complex), [1, 2])
+    assert engine.unit(np.array([0.6j], dtype=complex), [1, 0]).tolist() == [1j]  # empty span
+
+
+def test_lift_needs_every_mode_of_the_element_as_a_column():
+    op = make_aom(AomSpec("A", M("a", 1), M("b", 0), "x", "y"))
+    state = engine.ArrayState((M("a", 1), M("b", 0)), np.array([[1, 1]], dtype=np.int8),
+                              np.ones(1, complex))
+    with pytest.raises(ValueError, match=r"A: modes \[.*'x'.*'y'.*\] are not columns of the state"):
+        engine.lift(state, op)
+    widened = engine.widen(state, op.modes)
+    assert widened.modes == op.modes and widened.occ.tolist() == [[1, 1, 0, 0]]
+    want = apply_element(StateVector({FockKet({M("a", 1): 1, M("b", 0): 1}): 1.0}), op)
+    assert as_state(engine.lift(widened, op)) == want
+
+
 def test_int8_occupations_cannot_overflow():
     with pytest.raises(CapExceededError):
         as_arrays(StateVector({FockKet({M("a", 1): 200}): 1.0}))

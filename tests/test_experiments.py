@@ -33,7 +33,7 @@ from aomsim import (
 from aomsim.dsl import Pipeline, compile_circuit, parse
 from aomsim.engine import ArrayState
 from aomsim.experiments import _combined_accepted, _herald
-from aomsim.states import as_arrays, reduced_density
+from aomsim.states import as_arrays, kets, reduced_density
 from conftest import (GHZ_BRANCH_A, GHZ_BRANCH_B, M, ghz_aom, random_circuit, random_state,
                       swap_aoms, swap_sources)
 
@@ -308,9 +308,9 @@ def test_swap_magnitudes_are_convention_independent():
 
 
 def combined_by_mask(state: ArrayState, rule: HeraldRule) -> ArrayState | None:
-    """The accepted rows of ``state``, renormalized, picked by a mask over its rows."""
-    ids, _, _, accepted = engine.herald_groups(state.occ, state.modes, rule.paths(), rule.clauses)
-    keep = accepted[ids]
+    """The accepted rows of ``state``, renormalized, picked by a mask over its rows' kets."""
+    keep = np.array([all(k.count_on_paths(paths) == count for paths, count in rule.clauses)
+                     for k in kets(state.modes, state.occ)], dtype=bool)
     if not keep.any():
         return None
     return engine.normalize(ArrayState(state.modes, state.occ.compress(keep, axis=0),
