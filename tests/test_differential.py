@@ -14,10 +14,14 @@ the run and the reference are each left with rounding noise of about 1e-16
 that neither can predict of the other.  So next to each amplitude the
 reference carries a bound: the same sum, taken over magnitudes.  An
 amplitude below ``NOISE`` of its bound is noise, and may be a row of the run
-or not.  An outcome whose norm is below ``RESOLVED`` of its bound's is noise
-as a whole: only its probability, about 0, is compared.  A runtime error
-that turns on noise rows alone (a filter that leaves only noise, a noise row
-that spoils a factorisation) may or may not be raised.
+or not.  A permanent below ``PERMANENT_NOISE`` is taken as 0 but keeps that
+much in its bound: an AOM at a rounded ``t`` (``0.7071067811865476`` for
+1/sqrt 2) leaves two meeting photons about 1e-16, not 0, which outweighs a
+branch as faint as ``alpha=1e-200``.  An outcome whose norm is below
+``RESOLVED`` of its bound's is noise as a whole: only its probability, about
+0, is compared.  A runtime error that turns on noise rows alone (a filter
+that leaves only noise, a noise row that spoils a factorisation) may or may
+not be raised.
 
 Values are compared to 1e-12 beyond the 12 significant digits the report
 prints.
@@ -148,10 +152,11 @@ def reference(text: str, override: str | None) -> Run:
                     run.may_fail = True
                     continue
                 for out, w in terms:
-                    if abs(w) <= PERMANENT_NOISE:  # a permanent of 0, as Ryser's sum rounds it
-                        w = 0j
+                    size = abs(w)
+                    if size <= PERMANENT_NOISE:  # a permanent of 0, as Ryser's sum rounds it
+                        w, size = 0j, PERMANENT_NOISE  # or as small but not 0: a bound, not a 0
                     new_v[out] = new_v.get(out, 0j) + v[k] * w
-                    new_bound[out] = new_bound.get(out, 0.0) + bound[k] * abs(w)
+                    new_bound[out] = new_bound.get(out, 0.0) + bound[k] * size
             v, bound = new_v, new_bound
         elif isinstance(s, FilterStmt):
             passes = [k for k in v if all(p != s.path or b == s.pass_bin for (p, b), _ in k)]
