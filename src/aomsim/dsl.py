@@ -58,7 +58,6 @@ from .elements import (
     apply_element,
     apply_filter,
     check_bandwidth,
-    circuit_modes,
     make_aom,
     make_source,
 )
@@ -487,7 +486,8 @@ class PipelineResult:
 class Pipeline:
     """Executable circuit lowered from an AST; ``run`` evolves and heralds.
 
-    The AOM ops and the mode closure are made once per convention override.
+    The AOM ops and the mode closure are made once per convention override;
+    the sources are emitted over the closure, so no lift has to add a column.
     """
 
     sources: tuple[SourceSpec, ...]
@@ -502,8 +502,13 @@ class Pipeline:
         if override not in self._lowered:
             steps = tuple(e if isinstance(e, FilterSpec) else make_aom(dataclasses.replace(
                 e, phase_convention=override or e.phase_convention)) for e in self.elements)
-            modes = circuit_modes(self.sources, [s for s in steps if isinstance(s, ElementOp)])
-            self._lowered[override] = modes, steps
+            # A pre-allocation: the sources' product is widened once, at 2^k rows, not at
+            # each AOM's input.  Per AOM measured slower: chain runs +1-13% CPU at k=5 and
+            # +6-14% at k=7, GHZ runs +19-35 us, mostly engine.widen's column scatter
+            # (7.1 ms on a 33,614 x 50 matrix; copying contiguous column runs takes 0.9 ms).
+            modes = {m for spec in self.sources for m in spec.arms + spec.alt}.union(
+                *(step.modes for step in steps if isinstance(step, ElementOp)))
+            self._lowered[override] = tuple(sorted(modes)), steps
         return self._lowered[override]
 
     def run(self, convention_override: Convention | None = None,

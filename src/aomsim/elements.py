@@ -52,7 +52,6 @@ __all__ = [
     "make_aom",
     "apply_element",
     "make_source",
-    "circuit_modes",
     "apply_filter",
     "check_bandwidth",
 ]
@@ -212,11 +211,12 @@ def make_aom(spec: AomSpec) -> ElementOp:
 def apply_element(s: StateVector | ArrayState, op: ElementOp) -> StateVector | ArrayState:
     """Evolve a state through one element (bosonic lift of its mode map).
 
+    The element's modes that the state lacks enter as all-zero columns.
     Unitary-convention elements preserve the norm.  Literal maps rescale each
     input ket's image to that ket's weight, then renormalize the total, and
     the result carries ``non_unitary=True``.
     """
-    return match_kind(s, engine.lift(as_arrays(s, op.modes), op))
+    return match_kind(s, engine.lift(as_arrays(s), op))
 
 
 def make_source(spec: SourceSpec, modes: tuple[ModeLabel, ...] | None = None,
@@ -224,20 +224,12 @@ def make_source(spec: SourceSpec, modes: tuple[ModeLabel, ...] | None = None,
     """Two-term biphoton state of the source; alpha = pi/4 gives 1/sqrt(2) each.
 
     ``alpha`` replaces ``spec.alpha``.  Without ``modes``, returns a
-    :class:`StateVector`; given a circuit's compiled ``modes`` (see
-    :func:`circuit_modes`), the rows over those and the source's own as an
-    :class:`~aomsim.engine.ArrayState`, a list of angles giving a batch.
+    :class:`StateVector`; given ``modes``, the rows over those and the
+    source's own as an :class:`~aomsim.engine.ArrayState`, a list of angles
+    giving a batch.
     """
     rows = engine.source(spec, () if modes is None else modes, alpha)
     return rows if modes is not None else as_state(rows)
-
-
-def circuit_modes(sources, ops) -> tuple[ModeLabel, ...]:
-    """The sorted mode closure: every mode a source emits or an element op reads or writes."""
-    modes = {m for spec in sources for m in spec.arms + spec.alt}
-    for op in ops:
-        modes.update(op.modes)
-    return tuple(sorted(modes))
 
 
 def apply_filter(s: StateVector | ArrayState, f: FilterSpec

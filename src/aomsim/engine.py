@@ -104,8 +104,8 @@ TERM_BUDGET = 1 << 20
 """Most rows (terms) one step may allocate, counted over every member of a batch.
 
 The largest step of a k=7 swap chain holds 235,298 rows over 52 modes; a
-k=8 chain would pass the budget.  That step's lift peaks at 56 MB of
-traced allocations, 238 bytes per output row (about 4.6 per row and mode),
+k=8 chain would pass the budget.  That step's lift peaks at 55 MB of
+traced allocations, 235 bytes per output row (about 4.5 per row and mode),
 where its occupation matrix takes 52 bytes per row.  At 2^20 rows and 100
 modes the occupation matrix alone takes 100 MB, 2^20 amplitudes take
 16 MB, and a lift at that rate would peak near 500 MB.
@@ -242,8 +242,9 @@ def kept_rows(amp: np.ndarray) -> np.ndarray:
 
     Members whose masks differ raise :class:`BatchSplit`, grouped by mask.
     Kernels keep the rows with ``occ.compress(keep, axis=0)``, which on
-    numpy takes a fraction of the time of ``occ[keep]`` (15 against 57 µs
-    on an ``int8`` matrix of 4,802 rows by 52 columns).
+    numpy takes a fraction of the time of ``occ[keep]`` (12 against 43 µs
+    keeping half the rows of the k=5 chain's final state, 4,802 rows by 36
+    ``int8`` columns, on numpy 2.4 and a 2-core VM).
     """
     nz = _nonzero(amp)
     if nz.ndim == 1:
@@ -639,9 +640,9 @@ def _check_wiring(modes: tuple, occ: np.ndarray, name: str, images: dict):
 def _lift_plan(occ: np.ndarray, modes: tuple, images: tuple, op_modes: tuple, name: str):
     """Rows of a lift: ``(rows, coeff, norms, ids, merged)``.
 
-    Image term ``e`` multiplies input row ``rows[e]`` by ``coeff[e]``
-    (literal maps first divide it by its image's norm ``norms[e]``) and adds
-    into output row ``ids[e]``, whose occupations are ``merged[ids[e]]``.
+    Image term ``e`` multiplies input row ``r = rows[e]`` by ``coeff[e]``
+    (literal maps first divide row ``r`` by its image's norm ``norms[r]``) and
+    adds into output row ``ids[e]``, whose occupations are ``merged[ids[e]]``.
     Input rows are visited in their own order, which is ket order, and
     output rows are numbered in ket order.
     """
@@ -667,7 +668,7 @@ def _lift_plan(occ: np.ndarray, modes: tuple, images: tuple, op_modes: tuple, na
     offset = np.cumsum(sizes) - sizes
     entry = np.arange(total) - np.repeat(np.cumsum(reps) - reps - offset[sub_ids], reps)
     coeff = np.concatenate([t[1] for t in tables])[entry]
-    norms = np.array([t[2] for t in tables])[sub_ids][rows]
+    norms = np.array([t[2] for t in tables])[sub_ids]
     out = occ[rows]
     out[:, touched] = np.concatenate([t[0] for t in tables])[entry]
     ids, first = _group(_ket_keys(out))  # groups in ket order
@@ -677,29 +678,27 @@ def _lift_plan(occ: np.ndarray, modes: tuple, images: tuple, op_modes: tuple, na
 def lift(state: ArrayState, op) -> ArrayState:
     """Evolve through one element: the bosonic lift of its single-photon mode map.
 
-    Every mode of ``op`` must be a column of ``state``.  Unitary maps keep
-    the norm.  Literal maps rescale each input ket's image to that ket's
-    weight, then renormalize the total, and flag the result ``non_unitary``.
+    A mode of ``op`` the state lacks enters as an all-zero column
+    (:func:`widen`).  Unitary maps keep the norm.  Literal maps rescale each
+    input ket's image to that ket's weight, then renormalize the total, and
+    flag the result ``non_unitary``.
     Duplicates are merged per member with ``np.bincount`` on output ids
     offset by ``member * rows``, so each output row adds its image terms in
     input order; output rows are in ket order.
     """
-    op_modes = op.modes
-    missing = set(op_modes) - set(state.modes)
+    missing = set(op.modes) - set(state.modes)
     if missing:
-        raise ValueError(f"{op.name}: modes {sorted(missing)} are not columns of the state")
+        state = widen(state, missing)
     non_unitary = state.non_unitary or op.literal
     if not len(state.occ):
         _check_wiring(state.modes, state.occ, op.name, op.images)
         return ArrayState(state.modes, state.occ, state.amp, non_unitary)
     rows, coeff, norms, ids, merged = _lift_plan(
-        state.occ, state.modes, tuple(op.images.items()), op_modes, op.name)
+        state.occ, state.modes, tuple(op.images.items()), op.modes, op.name)
     members = _batch_size(state.amp)
     _check_budget(len(rows), f"{op.name} lift", members)
-    amp = select(state.amp, rows)
-    if op.literal:
-        amp = _cdiv(amp, norms)
-    values = _cmul(amp, coeff).ravel()
+    amp = _cdiv(state.amp, norms) if op.literal else state.amp
+    values = _cmul(select(amp, rows), coeff).ravel()
     n = len(merged)
     if members > 1:  # member m adds into bins m * n .. m * n + n - 1
         ids = (ids + n * np.arange(members)[:, None]).ravel()

@@ -258,17 +258,16 @@ def ket(modes: Iterable[ModeLabel]) -> StateVector:
     return StateVector({FockKet.from_modes(modes): 1.0 + 0j})
 
 
-def as_arrays(s: StateVector | ArrayState, modes: Iterable[ModeLabel] = ()) -> ArrayState:
+def as_arrays(s: StateVector | ArrayState) -> ArrayState:
     """The state as an occupation matrix, one row per term in ket order.
 
-    The columns are the state's own modes plus ``modes``, sorted.  An
-    :class:`ArrayState` is returned as it is: its compiled columns already
-    hold every mode of its circuit.  Raises :class:`CapExceededError` if a
-    mode holds more photons than the engine's ``int8`` occupations can.
+    The columns are the state's own modes, sorted.  An :class:`ArrayState`
+    is returned as it is.  Raises :class:`CapExceededError` if a mode holds
+    more photons than the engine's ``int8`` occupations can.
     """
     if isinstance(s, ArrayState):
         return s
-    columns = set(modes)
+    columns = set()
     for k in s.terms:
         columns.update(m for m, _ in k._pairs)
     columns = tuple(sorted(columns))

@@ -313,6 +313,17 @@ def test_demo_non_finite_alpha_exits_2(demo, alpha, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_a_float_option_without_its_value_exits_2(tmp_path, capsys):
+    """``--alpha`` followed by another option is not joined to it: argparse reports it."""
+    out = tmp_path / "g.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "ghz", "--alpha", "--json", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alpha: expected one argument" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_non_finite_range_exits_2(capsys):
     assert main(["sweep", "ghz", "--alpha-to", "inf"]) == 2
     assert "finite" in capsys.readouterr().err

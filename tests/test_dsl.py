@@ -355,6 +355,14 @@ def test_format_round_trip_on_random_circuits(text):
     assert parse_ok(format_circuit(ast)) == ast
 
 
+def test_a_statement_of_an_unknown_type_is_refused():
+    ast = CircuitAst((object(),))
+    with pytest.raises(CompileError, match="^unsupported statement type object$"):
+        compile_circuit(ast)
+    with pytest.raises(TypeError, match="unknown statement type object"):
+        format_circuit(ast)
+
+
 # ---------------------------------------------------------------- compiling
 
 

@@ -33,7 +33,6 @@ from aomsim import (
     tensor,
 )
 from aomsim.cli import main
-from aomsim.elements import circuit_modes
 from aomsim.experiments import _herald
 from aomsim.states import as_arrays, as_state
 from conftest import M, max_amplitude_dev, random_circuit
@@ -43,10 +42,9 @@ CONVENTIONS = (Convention.UNITARY, Convention.PAPER_LITERAL)
 
 
 def evolve_arrays(state: StateVector, aoms: list[AomSpec]):
-    """Each AOM's input and output on one occupation matrix over the circuit's modes."""
-    ops = [make_aom(spec) for spec in aoms]
-    arrays = as_arrays(state, circuit_modes((), ops))
-    for op in ops:
+    """Each AOM's input and output on one occupation matrix; each lift adds the columns it lacks."""
+    arrays = as_arrays(state)
+    for op in map(make_aom, aoms):
         before = arrays
         arrays = apply_element(arrays, op)
         assert isinstance(arrays, engine.ArrayState)
@@ -101,8 +99,7 @@ def test_pipeline_run_matches_oracle_on_swap_circuit():
     ]) + "\n"
     pipeline = compile_circuit(parse(text))
     result = pipeline.run()
-    state = as_state(engine.tensor(*(engine.source(s, circuit_modes(pipeline.sources, ()))
-                                     for s in pipeline.sources)))
+    state = as_state(engine.tensor(*(engine.source(s, ()) for s in pipeline.sources)))
     for spec in pipeline.elements:
         state = dense_oracle_apply(state, make_aom(spec))
     assert max_amplitude_dev(result.evolved_state, state) < 1e-12
@@ -222,12 +219,10 @@ def test_every_kernel_emits_its_rows_in_ket_order(seed, convention, batch, paths
     ops = [make_aom(spec) for spec in aoms]
     m = [M(p, b) for p, b in zip(paths, bins)]
     source = SourceSpec("S", (m[0], m[1]), (m[2], m[3]))
-    spectators = {mode for k in state.terms for mode in k.modes()}
-    modes = tuple(sorted(spectators.union(circuit_modes([source], ops))))
     shuffled = StateVector(dict(reversed(list(state.terms.items()))))
-    arrays = as_arrays(shuffled, modes)
+    arrays = as_arrays(shuffled)
     assert_ket_order(arrays)
-    emitted = make_source(source, modes, alphas if batch else alphas[0])
+    emitted = make_source(source, (), alphas if batch else alphas[0])
     assert_ket_order(emitted)
     assert_ket_order(tensor(arrays, emitted))
     arrays = tensor(emitted, arrays)
@@ -315,16 +310,36 @@ def test_unit_refuses_a_span_of_terms_whose_norm_is_zero():
     assert engine.unit(np.array([0.6j], dtype=complex), [1, 0]).tolist() == [1j]  # empty span
 
 
-def test_lift_needs_every_mode_of_the_element_as_a_column():
+def test_lift_adds_the_element_modes_the_state_lacks_as_columns():
+    """A lift of a state that lacks input and output modes of the element is the lift of
+    the state widened to them first, bit for bit: one state or a batch, through
+    ``engine.lift`` or ``apply_element``, and as kets the ``StateVector`` route's terms."""
     op = make_aom(AomSpec("A", M("a", 1), M("b", 0), "x", "y"))
     state = engine.ArrayState((M("a", 1), M("b", 0)), np.array([[1, 1]], dtype=np.int8),
                               np.ones(1, complex))
-    with pytest.raises(ValueError, match=r"A: modes \[.*'x'.*'y'.*\] are not columns of the state"):
-        engine.lift(state, op)
     widened = engine.widen(state, op.modes)
     assert widened.modes == op.modes and widened.occ.tolist() == [[1, 1, 0, 0]]
     want = apply_element(StateVector({FockKet({M("a", 1): 1, M("b", 0): 1}): 1.0}), op)
     assert as_state(engine.lift(widened, op)) == want
+    assert as_state(engine.lift(state, op)) == want
+
+    def bits(s):
+        return s.modes, s.occ.tobytes(), s.amp.tobytes(), s.non_unitary
+
+    kets = StateVector({FockKet({M("a", 1): 2}): 0.6, FockKet({M("a", 1): 1, M("s", 0): 1}): 0.8j})
+    lacking = as_arrays(kets)
+    assert lacking.modes == (M("a", 1), M("s", 0))  # no input b@0, no output x@1 or y@0
+    batch = lacking.amp * np.array([[1.0], [0.5j], [-2.0 + 1e-3j]])
+    for convention in CONVENTIONS:
+        op = make_aom(AomSpec("A", M("a", 1), M("b", 0), "x", "y", t_amp=0.6,
+                              phase_convention=convention))
+        for amp in (lacking.amp, batch):
+            given = engine.ArrayState(lacking.modes, lacking.occ, amp)
+            want = engine.lift(engine.widen(given, op.modes), op)
+            assert want.modes == (M("a", 1), M("b", 0), M("s", 0), M("x", 1), M("y", 0))
+            assert bits(engine.lift(given, op)) == bits(want)
+            assert bits(apply_element(given, op)) == bits(want)
+        assert as_state(engine.lift(lacking, op)) == apply_element(kets, op)
 
 
 def test_int8_occupations_cannot_overflow():
@@ -349,7 +364,7 @@ def test_cli_exits_1_when_a_chain_exceeds_the_term_budget(tmp_path, monkeypatch,
 LIFT_PEAK_BYTES_PER_CELL = 6.5
 """Bound on a lift's peak traced allocation per output cell (rows times columns).
 
-Measured at 5.4 on the last lift of ``tests/golden/chain5.qc`` (2,744 rows
+Measured at 5.21 on the last lift of ``tests/golden/chain5.qc`` (2,744 rows
 in, 4,802 rows out, 36 columns): the expanded occupations, the two masks
 that make their ket keys and the keys take one byte per cell each.
 """
@@ -388,6 +403,12 @@ def test_array_state_takes_occupations_of_any_integer_type():
     for bad in ([[200, 0, 0, 0]], [[-1, 0, 0, 0]]):
         with pytest.raises(CapExceededError):
             engine.ArrayState(modes, np.array(bad), np.ones(1, complex))
+
+
+def test_array_state_holds_float_amplitudes_as_complex():
+    state = engine.ArrayState((M("a", 1),), np.array([[1], [2]], dtype=np.int8),
+                              np.array([0.6, -0.8]))
+    assert state.amp.dtype == np.complex128 and state.amp.tolist() == [0.6 + 0j, -0.8 + 0j]
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-320])
