@@ -546,11 +546,11 @@ class Pipeline:
         if self.herald is None:
             outcomes = [HeraldOutcome("all", engine.squared(engine.norm(state.amp)), state, True)]
         elif batch:  # post_select takes one state
-            outcomes = [HeraldOutcome(*branch) for branch in _herald(state, self.herald)]
+            outcomes = _herald(state, self.herald)
         else:
             outcomes = post_select(state, self.herald)
         # metrics are computed on the outcomes' rows, all outcomes at once
-        accepted = [o for o in outcomes if o.accepted and o.rows is not None]
+        accepted = [o for o in outcomes if o.accepted]
         count_distributions: dict[str, dict[int, float]] = {}
         for report in self.reports:
             if isinstance(report, ReportOutcomesStmt):
@@ -568,13 +568,12 @@ class Pipeline:
                         restrict_to_paths(outcome.rows, paths), a, b)
         # from 0.0 in outcome order, per member for a batch: sum() would give the int 0
         # when nothing is accepted, and compensates from Python 3.12
-        success = np.zeros(len(alpha)) if batch else 0.0
-        for o in outcomes:
-            if o.accepted:
-                success = success + o.probability
+        success = np.zeros(np.shape(outcomes[0].probability))
+        for o in accepted:
+            success = success + o.probability
         return PipelineResult(
             outcomes=outcomes,
-            success_probability=success.tolist() if batch else success,
+            success_probability=success.tolist(),
             final=state,
             count_distributions=count_distributions,
             filter_survivals=filter_survivals,

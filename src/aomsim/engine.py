@@ -28,7 +28,7 @@ compensates from Python 3.12).
 One routine rescales to unit norm, :func:`unit`, span by span (a state, or
 each outcome of a herald); :func:`unit_rows`, which also drops the rows that
 underflowed, serves :func:`normalize`, :func:`filter_rows`, the literal
-:func:`lift` and the herald (:func:`aomsim.experiments.post_select`).
+:func:`lift` and the herald (:func:`aomsim.experiments._herald`).
 
 The lift groups rows by their occupation of the element's modes (inputs
 plus outputs).  Each distinct sub-occupation is expanded once through the
@@ -691,7 +691,6 @@ def lift(state: ArrayState, op) -> ArrayState:
         state = widen(state, missing)
     non_unitary = state.non_unitary or op.literal
     if not len(state.occ):
-        _check_wiring(state.modes, state.occ, op.name, op.images)
         return ArrayState(state.modes, state.occ, state.amp, non_unitary)
     rows, coeff, norms, ids, merged = _lift_plan(
         state.occ, state.modes, tuple(op.images.items()), op.modes, op.name)
@@ -750,6 +749,8 @@ def count_distribution(state: ArrayState, paths) -> dict[int, float]:
     ``np.bincount``, as ``total += abs(a) ** 2`` adds them.  Raises
     :class:`NonFiniteError` if a probability passes the largest float.
     """
+    if state.amp.ndim > 1:
+        raise ValueError("a photon-count distribution takes one state, not a batch")
     totals = _path_counts(state.occ, state.modes, sorted(set(paths))).sum(axis=1)
     probs = np.bincount(totals, _squares(state.amp))
     if not np.isfinite(probs).all():

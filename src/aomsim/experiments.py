@@ -1,13 +1,14 @@
 """Heralding primitives and the paper's two schemes: entanglement swap and three-photon GHZ.
 
-:func:`post_select` is the shared heralding primitive: it partitions a state
-by the per-path photon-count pattern over the paths a rule mentions, accepts
-the patterns whose per-clause totals match exactly, and lumps everything
-else into one discard bucket.  It groups the rows of an array state
-(:mod:`aomsim.engine`), lists them outcome by outcome, and normalizes every
-outcome in one pass over those rows; no outcome builds its kets until its
-conditional state is read.  :func:`_herald` is the same split for a batch of
-states, one probability per member.
+:func:`_herald` is the shared heralding primitive: it partitions a state,
+or a batch of states, by the per-path photon-count pattern over the paths a
+rule mentions, accepts the patterns whose per-clause totals match exactly,
+and lumps everything else into one discard bucket.  It groups the rows of an
+array state (:mod:`aomsim.engine`), lists them outcome by outcome, normalizes
+every outcome in one pass over those rows and returns the
+:class:`HeraldOutcome` list, with one probability per member for a batch; no
+outcome builds its kets until its conditional state is read.
+:func:`post_select` is its public face for one state.
 
 The schemes themselves are circuit text, shipped with the package as
 ``circuits/swap.qc`` and ``circuits/ghz.qc``: :func:`run_swap` and
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import engine
 from .engine import ArrayState
-from .errors import FactorizationError
+from .errors import FactorizationError, ZeroStateError
 # apply_element, apply_filter, make_source, tensor, entanglement_entropy and ghz_fidelity go
 # unused here but stay bound, since bench/tracing.py wraps each by name in this module
 from .elements import AomSpec, Convention, apply_element, apply_filter, make_source
@@ -205,17 +206,20 @@ def _herald_plan(occ, modes: tuple, rule: HeraldRule):
     return order, sizes[groups].tolist() + [int(sizes[~accepted].sum())], outcomes
 
 
-def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
-    """The branches of a herald, each normalized on its own, for a state or a batch.
+def _herald(state: ArrayState, rule: HeraldRule) -> list[HeraldOutcome]:
+    """The outcomes of a herald, each normalized on its own, for a state or a batch.
 
-    One ``(label, probability, rows, accepted, pattern)`` per outcome, the
-    arguments of :class:`HeraldOutcome`: ``probability`` is a list with one
-    per member for a batch, and ``rows`` the normalized conditional state
-    (None for an empty discard bucket), in ket order.  The rows are gathered
-    outcome by outcome once, and one engine call (:func:`aomsim.engine.unit_rows`)
+    Each outcome's ``probability`` is a list with one per member for a
+    batch, and its ``rows`` the normalized conditional state (None for an
+    empty discard bucket), in ket order.  The rows are gathered outcome by
+    outcome once, and one engine call (:func:`aomsim.engine.unit_rows`)
     normalizes each outcome's span of them and returns the span norms, each
-    summed in ket order, the discard bucket's too.
+    summed in ket order, the discard bucket's too.  Raises
+    :class:`ZeroStateError` for a state with no rows, whose outcomes have no
+    probabilities to sum to 1.
     """
+    if not len(state.occ):
+        raise ZeroStateError("cannot herald a zero state")
     order, sizes, plan = _herald_plan(state.occ, state.modes, rule)
     rows, norms, bounds = engine.unit_rows(ArrayState(
         state.modes, state.occ[order], engine.select(state.amp, order), state.non_unitary), sizes)
@@ -226,27 +230,27 @@ def _herald(state: ArrayState, rule: HeraldRule) -> list[tuple]:
         if pattern is not None or size:  # an empty discard bucket has no state
             outcome = ArrayState(state.modes, rows.occ[a:b], engine.select(rows.amp, slice(a, b)),
                                  state.non_unitary)
-        branches.append((label, p, outcome, accepted, pattern))
+        branches.append(HeraldOutcome(label, p, outcome, accepted, pattern))
     return branches
 
 
 def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOutcome]:
-    """Split a normalized state by photon-count pattern over the rule paths.
+    """Split a normalized state by photon-count pattern over the rule paths (:func:`_herald`).
 
     Returns one outcome per satisfying pattern (sorted by pattern) followed
     by the rejected remainder; probabilities over the full list sum to 1.
     Each outcome's terms are in ket order, the discard bucket's too, and
     each outcome's norm is summed over its terms in that order
-    (:func:`aomsim.engine.unit_rows`).  Takes one state, not a batch.
+    (:func:`aomsim.engine.unit_rows`).  Takes one nonzero state, not a batch.
     """
     state = as_arrays(s)
     if state.amp.ndim > 1:
         raise ValueError("post_select takes one state, not a batch")
-    return [HeraldOutcome(*branch) for branch in _herald(state, rule)]
+    return _herald(state, rule)
 
 
 def enumerate_outcomes(s: StateVector, paths: set[str] | frozenset[str]) -> dict[int, float]:
-    """Distribution of the total photon count over a path set."""
+    """Distribution of the total photon count over a path set, for one state, not a batch."""
     return engine.count_distribution(as_arrays(s), sorted(paths))
 
 

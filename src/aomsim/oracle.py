@@ -129,7 +129,7 @@ def dense_oracle_apply(
 
     result = StateVector(out_amps, non_unitary=s.non_unitary or op.literal)
     if op.literal and result.terms:
-        total = result.norm()
+        total = float(np.linalg.norm(list(result.terms.values())))
         result = result.scaled(1.0 / total)
     return result
 

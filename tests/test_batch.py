@@ -17,6 +17,7 @@ from aomsim import (
     compile_circuit,
     engine,
     entanglement_entropy,
+    enumerate_outcomes,
     make_aom,
     make_source,
     parse,
@@ -175,6 +176,10 @@ def test_herald_and_partial_trace_wrappers_take_single_states():
         post_select(batch, HeraldRule([({"a", "c"}, 1)]))
     with pytest.raises(ValueError, match="a partial trace takes single states, not batches"):
         entanglement_entropy(batch, {"a", "b"})
+    with pytest.raises(ValueError, match="a photon-count distribution takes one state"):
+        enumerate_outcomes(batch, {"a"})
+    with pytest.raises(ValueError, match="a photon-count distribution takes one state"):
+        engine.count_distribution(batch, ["a"])
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, [0.3, math.nan]])
@@ -214,7 +219,7 @@ def test_batch_kernels_match_each_member_bit_for_bit(convention):
             for op in ops:
                 single = engine.lift(single, op)
             single, survived = engine.filter_rows(single, "x", high)
-            branches = [(label, p, rows) for label, p, rows, _, _ in _herald(single, rule)]
+            branches = [(o.label, o.probability, o.rows) for o in _herald(single, rule)]
             return single, survived, branches
 
         def members(index):

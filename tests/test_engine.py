@@ -238,9 +238,9 @@ def test_every_kernel_emits_its_rows_in_ket_order(seed, convention, batch, paths
         pass
     assert_ket_order(engine.normalize(arrays))
     rule = HeraldRule([({aoms[-1].output_x, aoms[-1].output_y}, 1)])
-    for _, _, rows, _, _ in _herald(arrays, rule):
-        if rows is not None:
-            assert_ket_order(rows)
+    for o in _herald(arrays, rule):
+        if o.rows is not None:
+            assert_ket_order(o.rows)
 
     # the StateVector wrappers list their terms in ket order too
     single = make_source(source)

@@ -11,11 +11,11 @@ from aomsim import (
     Convention,
     FactorizationError,
     FockKet,
-    HeraldOutcome,
     HeraldRule,
     SimulatorError,
     SourceSpec,
     StateVector,
+    ZeroStateError,
     engine,
     apply_element,
     enumerate_outcomes,
@@ -100,6 +100,16 @@ def test_discard_bucket_state_is_normalized_or_absent():
     assert all_pass[-1].conditional_state is None
 
 
+def test_a_zero_state_is_not_heralded():
+    """A state with no terms has no outcome probabilities to sum to 1, one state or a batch."""
+    rule = HeraldRule([({"a"}, 1)])
+    with pytest.raises(ZeroStateError, match="cannot herald a zero state"):
+        post_select(StateVector({}), rule)
+    batch = ArrayState((M("a", 0),), np.zeros((0, 1), dtype=np.int8), np.zeros((2, 0)))
+    with pytest.raises(ZeroStateError, match="cannot herald a zero state"):
+        _herald(batch, rule)
+
+
 def test_herald_rule_validation():
     with pytest.raises(ValueError):
         HeraldRule([({"a"}, 1), ({"a", "b"}, 1)])  # overlapping clauses
@@ -147,7 +157,7 @@ def test_post_select_probabilities_always_complete(seed, na, nb):
         outcomes = post_select(s, rule)
         assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
         assert_one_shape(outcomes)
-        branches = [HeraldOutcome(*branch) for branch in _herald(batch, rule)]
+        branches = _herald(batch, rule)
         for member in range(2):
             assert sum(o.probability[member] for o in branches) == pytest.approx(1.0, abs=1e-9)
         assert_one_shape(branches)
@@ -172,7 +182,7 @@ def test_every_outcome_lists_its_rows_in_ket_order(seed, convention, alphas):
     final = as_arrays(state)
     assert_rows_in_ket_order(post_select(final, rule))
     batch = ArrayState(final.modes, final.occ, np.stack([final.amp, -1j * final.amp[::-1]]))
-    assert_rows_in_ket_order([HeraldOutcome(*branch) for branch in _herald(batch, rule)])
+    assert_rows_in_ket_order(_herald(batch, rule))
 
     # the same AOMs fed by sources: one on the first AOM's inputs, one on a fresh path
     sources = [SourceSpec("S1", (aoms[0].input_a, aoms[0].input_b), (M("p", 0), M("q", 1)))]

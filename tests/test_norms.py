@@ -159,11 +159,11 @@ def test_herald_probabilities_match_the_loop(seed, terms, members, parts):
 
     def probabilities(index: np.ndarray) -> list:
         """Each member's outcome probabilities, from one herald of the members in ``index``."""
-        branches = _herald(ArrayState(modes, occ, amp[index]), rule)
-        return [[p[i] for _, p, _, _, _ in branches] for i in range(len(index))]
+        outcomes = _herald(ArrayState(modes, occ, amp[index]), rule)
+        return [[o.probability[i] for o in outcomes] for i in range(len(index))]
 
     def alone(member: np.ndarray) -> list:
-        return [p for _, p, _, _, _ in _herald(ArrayState(modes, occ, member), rule)]
+        return [o.probability for o in _herald(ArrayState(modes, occ, member), rule)]
 
     if all(math.isfinite(p) for member in want for p in member):
         assert bits(engine.in_batches(probabilities, members)) == bits(want)
@@ -224,13 +224,10 @@ def normalised_by(caller: str, state: ArrayState) -> list[ArrayState]:
     if caller == "filter_rows":
         return [engine.filter_rows(state, "a", 0)[0]]  # keeps b|s and s twice
     if caller == "lift":
-        modes = tuple(sorted(state.modes + LITERAL_AOM.output_modes))
-        widened = np.zeros((len(state.occ), len(modes)), dtype=np.int8)
-        widened[:, [modes.index(m) for m in state.modes]] = state.occ
-        return [engine.lift(ArrayState(modes, widened, state.amp), LITERAL_AOM)]
+        return [engine.lift(state, LITERAL_AOM)]
     if caller == "normalize":
         return [engine.normalize(state)]
-    return [rows for _, _, rows, _, _ in _herald(state, HeraldRule([({"a"}, 1)])) if rows]
+    return [o.rows for o in _herald(state, HeraldRule([({"a"}, 1)])) if o.rows]
 
 
 @pytest.mark.parametrize("tiny,caller", [
