@@ -10,7 +10,10 @@ mode maps, filter rows, and order and group rows.  ``FockKet`` and
 Rows are in ket order, as ``FockKet`` sorts them (:func:`ket_order`): the
 kernels that make rows emit them so, those that drop rows keep the order,
 and a ``StateVector``'s terms are put in it where they enter
-(:func:`aomsim.states.as_arrays`).
+(:func:`aomsim.states.as_arrays`).  One function fills occupation rows from
+``(mode, count)`` pairs, :func:`occupations`, for those terms, a source's
+two rows and each lift image table.  An infinite or NaN amplitude raises
+:class:`NonFiniteError` before :func:`lift` or :func:`tensor` multiplies it.
 Complex products and quotients are written out in real parts exactly as
 Python evaluates them, so amplitudes are bit-identical to a ket-by-ket
 evolution with Python complex numbers.
@@ -92,6 +95,7 @@ __all__ = [
     "unit",
     "unit_rows",
     "normalize",
+    "occupations",
     "widen",
     "source",
     "tensor",
@@ -212,6 +216,12 @@ def _check_budget(rows: int, what: str, members: int = 1):
     if rows * members > TERM_BUDGET:
         step = TERM_BUDGET // rows
         raise BatchSplit([np.arange(i, min(i + step, members)) for i in range(0, members, step)])
+
+
+def _check_finite(amp: np.ndarray):
+    """Raise :class:`NonFiniteError` if an amplitude is infinite or NaN, before a kernel uses it."""
+    if not np.isfinite(amp).all():
+        raise NonFiniteError("an amplitude is not a finite number")
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -482,6 +492,25 @@ def ket_order(occ: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------ kernels
 
 
+def occupations(rows, columns: tuple) -> np.ndarray:
+    """``int8[len(rows), len(columns)]``, row ``i`` from the ``(mode, count)`` pairs of ``rows[i]``.
+
+    Every mode is one of ``columns``, named once per row.  Raises
+    :class:`CapExceededError` if a count passes :data:`MAX_OCCUPATION`.
+    """
+    index = {m: j for j, m in enumerate(columns)}
+    width, cells, counts = len(columns), [], []
+    for r, pairs in enumerate(rows):
+        for m, n in pairs:
+            cells.append(r * width + index[m])
+            counts.append(n)
+    if counts and max(counts) > MAX_OCCUPATION:
+        raise CapExceededError(f"a mode holds {max(counts)} photons, over {MAX_OCCUPATION}")
+    occ = np.zeros((len(rows), width), dtype=np.int8)
+    occ.ravel()[cells] = counts
+    return occ
+
+
 def widen(state: ArrayState, modes) -> ArrayState:
     """The state over its columns plus ``modes``, sorted; the new columns are all zero.
 
@@ -526,11 +555,7 @@ def source(spec, modes, alpha: float | list[float] | None = None) -> ArrayState:
 def _source_rows(arms: tuple, alt: tuple, modes: tuple) -> tuple[tuple, np.ndarray, int]:
     """``modes`` plus the source's own, the two rows over them in ket order (read-only), arms'."""
     columns = tuple(sorted({*modes, *arms, *alt}))
-    index = {m: j for j, m in enumerate(columns)}
-    occ = np.zeros((2, len(columns)), dtype=np.int8)
-    for r, pair in enumerate((arms, alt)):
-        for m in pair:
-            occ[r, index[m]] += 1
+    occ = occupations([[(m, 1) for m in arms], [(m, 1) for m in alt]], columns)
     order = ket_order(occ)
     return columns, _read_only(occ[order]), int(order[0])  # two rows: order is its own inverse
 
@@ -553,8 +578,11 @@ def tensor(a: ArrayState, b: ArrayState) -> ArrayState:
     """Tensor product of states on disjoint path sets, over the union of their columns.
 
     Each row is a ket of ``a`` times a ket of ``b``, rows in ket order.
-    Batches multiply member by member.
+    Batches multiply member by member.  An infinite or NaN amplitude raises
+    :class:`NonFiniteError`.
     """
+    _check_finite(a.amp)
+    _check_finite(b.amp)
     if a.modes != b.modes:
         a, b = widen(a, b.modes), widen(b, a.modes)
     _check_budget(len(a.occ) * len(b.occ), "tensor product",
@@ -609,11 +637,7 @@ def _image_table(images: tuple, op_modes: tuple, sub: tuple[int, ...]):
     The arrays are shared between calls and read-only.
     """
     image = _lift_sub(tuple((m, n) for m, n in zip(op_modes, sub) if n), dict(images))
-    index = {m: i for i, m in enumerate(op_modes)}
-    occ = np.zeros((len(image), len(op_modes)), dtype=np.int8)
-    for row, (pairs, _) in enumerate(image):
-        for m, n in pairs:
-            occ[row, index[m]] = n
+    occ = occupations([pairs for pairs, _ in image], op_modes)
     amp = np.array([c for _, c in image], dtype=complex)
     return _read_only((occ, amp, norm(amp)))
 
@@ -684,8 +708,10 @@ def lift(state: ArrayState, op) -> ArrayState:
     flag the result ``non_unitary``.
     Duplicates are merged per member with ``np.bincount`` on output ids
     offset by ``member * rows``, so each output row adds its image terms in
-    input order; output rows are in ket order.
+    input order; output rows are in ket order.  An infinite or NaN amplitude
+    raises :class:`NonFiniteError`.
     """
+    _check_finite(state.amp)
     missing = set(op.modes) - set(state.modes)
     if missing:
         state = widen(state, missing)

@@ -29,6 +29,7 @@ fidelity from it (:class:`GhzSweep`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -43,6 +44,7 @@ from .errors import FactorizationError, ZeroStateError
 from .elements import AomSpec, Convention, apply_element, apply_filter, make_source
 from .states import (
     StateVector,
+    _path_names,
     as_arrays,
     as_state,
     entanglement_entropy,
@@ -79,15 +81,21 @@ class HeraldRule:
     A pattern satisfies the rule iff every clause's photon total over its
     path set equals the required count exactly (number-resolving semantics).
     A herald lists each accepted pattern as an outcome of its own, then all
-    rejected patterns as one ``discard`` bucket.  A clause names each path once.
+    rejected patterns as one ``discard`` bucket.  A clause names each path once,
+    as a collection of path names (not a bare ``str``), and its count is an integer.
     """
 
     clauses: tuple[tuple[frozenset[str], int], ...]
 
     def __init__(self, clauses):
-        normed = tuple((tuple(paths), int(count)) for paths, count in clauses)
+        normed = []
         seen: set[str] = set()
-        for listed, count in normed:
+        for listed, count in clauses:
+            listed = _path_names(listed, "a herald clause")
+            try:
+                count = operator.index(count)
+            except TypeError:
+                raise ValueError(f"herald counts must be integers, not {count!r}") from None
             _distinct(listed, "herald clause")
             paths = frozenset(listed)
             if count < 0:
@@ -97,7 +105,8 @@ class HeraldRule:
             if seen & paths:
                 raise ValueError("herald clauses must use pairwise-disjoint path sets")
             seen |= paths
-        object.__setattr__(self, "clauses", tuple((frozenset(p), c) for p, c in normed))
+            normed.append((paths, count))
+        object.__setattr__(self, "clauses", tuple(normed))
 
     def paths(self) -> tuple[str, ...]:
         return tuple(sorted(set().union(*(paths for paths, _ in self.clauses))))
@@ -250,8 +259,11 @@ def post_select(s: StateVector | ArrayState, rule: HeraldRule) -> list[HeraldOut
 
 
 def enumerate_outcomes(s: StateVector, paths: set[str] | frozenset[str]) -> dict[int, float]:
-    """Distribution of the total photon count over a path set, for one state, not a batch."""
-    return engine.count_distribution(as_arrays(s), sorted(paths))
+    """Distribution of the total photon count over a path set, for one state, not a batch.
+
+    ``paths`` is a collection of path names, not a bare ``str``.
+    """
+    return engine.count_distribution(as_arrays(s), sorted(_path_names(paths, "paths")))
 
 
 @engine.memo_small
@@ -273,11 +285,13 @@ def restrict_to_paths(s: StateVector | ArrayState, keep: set[str] | frozenset[st
     :class:`FactorizationError` (also a ``ValueError``) otherwise, because
     the restriction would not be a pure state.  An :class:`ArrayState` (also
     a batch) keeps its amplitudes and the columns on ``keep``; a
-    :class:`StateVector` is restricted on its rows.
+    :class:`StateVector` is restricted on its rows.  ``keep`` is a collection
+    of path names, not a bare ``str``.
     """
+    keep = frozenset(_path_names(keep, "keep"))
     if isinstance(s, StateVector):
         return as_state(restrict_to_paths(as_arrays(s), keep))
-    modes, occ = _restriction(s.occ, s.modes, frozenset(keep))
+    modes, occ = _restriction(s.occ, s.modes, keep)
     return ArrayState(modes, occ, s.amp, s.non_unitary)
 
 

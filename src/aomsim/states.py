@@ -12,10 +12,12 @@ kets (:class:`StateVector`).
 ``StateVector`` is the API boundary of the array engine
 (:mod:`aomsim.engine`), which evolves occupation matrices:
 :func:`as_arrays` and :func:`as_state` convert between the two, rows in ket
-order, and :func:`tensor` is a wrapper over the engine's
-broadcasting kernel.  Like the element and herald wrappers, it also takes an
-:class:`~aomsim.engine.ArrayState` and then returns one, so a compiled
-pipeline runs through the same public functions without building kets.
+order, the one through :func:`aomsim.engine.occupations` and the other
+through ``StateVector``'s own constructor, and :func:`tensor` is a wrapper
+over the engine's broadcasting kernel.  Like the element and herald
+wrappers, it also takes an :class:`~aomsim.engine.ArrayState` and then
+returns one, so a compiled pipeline runs through the same public functions
+without building kets.
 
 The module also provides the linear-algebra layer used on results: inner
 products, partial traces (:func:`reduced_density`), bipartite entanglement
@@ -23,7 +25,9 @@ entropy, and a phase-maximized fidelity against two-branch superposition
 targets (:func:`ghz_fidelity`).  Partial traces and entropies run on the
 engine's rows, of one state or of a list of states at once (a herald's
 accepted outcomes), with the sums of a trace state by state, so a batch
-gives each state the same bits as a call of its own.
+gives each state the same bits as a call of its own.  A path set is a
+collection of path names, never a bare ``str``, and an infinite or NaN
+amplitude raises :class:`NonFiniteError` before a trace multiplies it.
 
 Everything here is value-like: kets are immutable, states are never mutated
 after construction, and every operation returns a fresh object, so instances
@@ -33,16 +37,16 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import engine
 from .engine import ArrayState
-from .errors import CapExceededError, NonFiniteError, ZeroStateError
+from .errors import NonFiniteError, ZeroStateError
 
 __all__ = [
     "ModeLabel",
@@ -79,10 +83,14 @@ class ModeLabel(tuple):
     def __new__(cls, path: str, freq_bin: int):
         if not path:
             raise ValueError("mode path must be a non-empty string")
+        try:
+            freq_bin = operator.index(freq_bin)
+        except TypeError:
+            raise ValueError(f"mode frequency bin must be an integer, not {freq_bin!r}") from None
         return tuple.__new__(cls, (path, freq_bin))
 
-    path = property(itemgetter(0), doc="Path name.")
-    freq_bin = property(itemgetter(1), doc="Integer frequency bin.")
+    path = property(operator.itemgetter(0), doc="Path name.")
+    freq_bin = property(operator.itemgetter(1), doc="Integer frequency bin.")
 
     def __getnewargs__(self):
         return tuple(self)
@@ -186,14 +194,6 @@ class StateVector:
             raise NonFiniteError("an amplitude is NaN")
         self.terms = {k: c for k, c in terms.items() if c}
 
-    @classmethod
-    def _nonzero(cls, terms: dict[FockKet, complex], non_unitary: bool) -> StateVector:
-        """Wrap terms whose amplitudes are already nonzero Python complex numbers."""
-        s = object.__new__(cls)
-        s.terms = terms
-        s.non_unitary = non_unitary
-        return s
-
     def sorted_items(self) -> list[tuple[FockKet, complex]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].pairs)
 
@@ -249,6 +249,22 @@ class DensityMatrix:
         return float((v.conj() @ self.matrix @ v).real)
 
 
+def _path_names(paths, what: str) -> tuple[str, ...]:
+    """``paths``, a collection of path names, as a tuple in its own order.
+
+    Raises ``ValueError`` for a bare ``str``, which would otherwise be read
+    as its characters or substrings, and for a member that is not a
+    non-empty ``str``; ``what`` names the argument in the message.
+    """
+    if isinstance(paths, str):
+        raise ValueError(f"{what} must be a collection of path names, not the string {paths!r}")
+    listed = tuple(paths)
+    for p in listed:
+        if not isinstance(p, str) or not p:
+            raise ValueError(f"{what} holds {p!r}, which is not a non-empty path name")
+    return listed
+
+
 def ket(modes: Iterable[ModeLabel]) -> StateVector:
     """Unit-amplitude basis state with occupation counts taken from the list.
 
@@ -262,28 +278,14 @@ def as_arrays(s: StateVector | ArrayState) -> ArrayState:
     """The state as an occupation matrix, one row per term in ket order.
 
     The columns are the state's own modes, sorted.  An :class:`ArrayState`
-    is returned as it is.  Raises :class:`CapExceededError` if a mode holds
-    more photons than the engine's ``int8`` occupations can.
+    is returned as it is.  The rows come from :func:`aomsim.engine.occupations`,
+    which raises :class:`CapExceededError` if a mode holds more photons than
+    the engine's ``int8`` occupations can.
     """
     if isinstance(s, ArrayState):
         return s
-    columns = set()
-    for k in s.terms:
-        columns.update(m for m, _ in k._pairs)
-    columns = tuple(sorted(columns))
-    index = {m: j for j, m in enumerate(columns)}
-    rows, cols, counts = [], [], []
-    for r, k in enumerate(s.terms):
-        for m, n in k._pairs:
-            rows.append(r)
-            cols.append(index[m])
-            counts.append(n)
-    if counts and max(counts) > engine.MAX_OCCUPATION:
-        raise CapExceededError(
-            f"a mode holds {max(counts)} photons, over {engine.MAX_OCCUPATION}"
-        )
-    occ = np.zeros((len(s.terms), len(columns)), dtype=np.int8)
-    occ[rows, cols] = counts
+    columns = tuple(sorted({m for k in s.terms for m, _ in k._pairs}))
+    occ = engine.occupations([k._pairs for k in s.terms], columns)
     amp = np.array(list(s.terms.values()), dtype=complex).reshape(len(s.terms))
     order = engine.ket_order(occ)
     return ArrayState(columns, occ[order], amp[order], s.non_unitary)
@@ -337,12 +339,14 @@ def kets(modes: tuple[ModeLabel, ...], occ: np.ndarray) -> list[FockKet]:
 
 
 def as_state(a: ArrayState) -> StateVector:
-    """The array state as a :class:`StateVector`, terms in row order, zeros dropped."""
+    """The array state as a :class:`StateVector`, terms in row order.
+
+    The terms go through ``StateVector``'s constructor, which drops zero
+    amplitudes and raises :class:`NonFiniteError` on a NaN one.
+    """
     if a.amp.ndim > 1:
         raise ValueError("a batch of states has no single StateVector; read its rows")
-    keep = engine._nonzero(a.amp)
-    occ, amp = (a.occ, a.amp) if keep.all() else (a.occ[keep], a.amp[keep])
-    return StateVector._nonzero(dict(zip(kets(a.modes, occ), amp.tolist())), a.non_unitary)
+    return StateVector(dict(zip(kets(a.modes, a.occ), a.amp.tolist())), a.non_unitary)
 
 
 def match_kind(given: StateVector | ArrayState, result: ArrayState) -> StateVector | ArrayState:
@@ -401,6 +405,7 @@ def _reduce(states: list, keep_paths) -> tuple:
     keep = np.array([m[0] in keep_paths for m in modes], dtype=bool)
     occ = np.concatenate([a.occ for a in arrays])
     amp = np.concatenate([a.amp for a in arrays])
+    engine._check_finite(amp)
     state = np.repeat(np.arange(len(arrays)), sizes)
 
     # the basis: distinct kept occupations per state, in ket order within each
@@ -437,6 +442,7 @@ def reduced_density(s: StateVector | ArrayState | list, keep_paths: set[str] | f
     list of states, such as a herald's accepted outcomes, traces them all at
     once on their rows and returns one matrix per state.
     """
+    keep_paths = frozenset(_path_names(keep_paths, "keep_paths"))
     many = isinstance(s, (list, tuple))
     if many and not s:
         return []
@@ -468,6 +474,7 @@ def entanglement_entropy(s: StateVector | ArrayState | list, partition: set[str]
     at once, as :func:`reduced_density` forms them, and ``np.linalg.eigvalsh``
     runs once per stack of matrices of one size.
     """
+    partition = frozenset(_path_names(partition, "partition"))
     many = isinstance(s, (list, tuple))
     if many and not s:
         return []

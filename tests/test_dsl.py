@@ -142,6 +142,16 @@ def test_path_repeated_within_one_statement(text, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"{circuit}: {err}\n"
 
 
+def test_a_herald_count_that_is_not_an_integer_is_a_compile_error():
+    """A programmatic herald's count goes to ``HeraldRule``, whose ``ValueError`` gets the line."""
+    ast = parse_ok("source S1 arms=(a@0,b@1) alt=(c@1,d@0)\nherald count(a,c)==1\n")
+    stmts = tuple(dataclasses.replace(s, clauses=((("a", "c"), 1.5),))
+                  if isinstance(s, HeraldStmt) else s for s in ast.statements)
+    with pytest.raises(CompileError) as exc:
+        compile_circuit(CircuitAst(stmts))
+    assert (exc.value.line, exc.value.message) == (2, "herald counts must be integers, not 1.5")
+
+
 def test_undeclared_path():
     err = compile_bad("source S1 arms=(1@0,2@1) alt=(1'@1,2'@0)\naom A in=(9@1,3@0) out=(x,y)")
     assert err.line == 2

@@ -25,11 +25,13 @@ from aomsim import (
     compile_circuit,
     dense_oracle_apply,
     engine,
+    entanglement_entropy,
     make_aom,
     make_source,
     normalize,
     parse,
     post_select,
+    reduced_density,
     tensor,
 )
 from aomsim.cli import main
@@ -343,12 +345,46 @@ def test_lift_adds_the_element_modes_the_state_lacks_as_columns():
 
 
 def test_int8_occupations_cannot_overflow():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="^a mode holds 200 photons, over 127$"):
         as_arrays(StateVector({FockKet({M("a", 1): 200}): 1.0}))
+    with pytest.raises(CapExceededError, match="^a mode holds 200 photons, over 127$"):
+        engine.occupations([[(M("a", 1), 1)], [(M("a", 1), 200)]], (M("a", 1),))
     op = make_aom(AomSpec("A", M("a", 1), M("b", 0), "x", "y"))
     crowded = StateVector({FockKet({M("a", 1): 64, M("b", 0): 64}): 1.0})
     with pytest.raises(CapExceededError, match="photons"):
         apply_element(crowded, op)
+
+
+def test_occupations_fill_each_row_from_its_pairs():
+    columns = (M("a", 0), M("a", 1), M("b", 0))
+    occ = engine.occupations([[(M("a", 1), 2), (M("b", 0), 1)], [], [(M("a", 0), 127)]], columns)
+    assert occ.dtype == np.int8 and occ.tolist() == [[0, 2, 1], [0, 0, 0], [127, 0, 0]]
+    for rows, cols, shape in (([], columns, (0, 3)), ([[], []], (), (2, 0)), ([], (), (0, 0))):
+        occ = engine.occupations(rows, cols)
+        assert occ.dtype == np.int8 and occ.shape == shape
+
+
+INF_STATE = StateVector({FockKet({M("a", 1): 1}): math.inf, FockKet({M("b", 0): 1}): 1.0})
+NAN_ROWS = engine.ArrayState((M("a", 1), M("b", 0)), np.array([[1, 0], [0, 1]]),
+                             np.array([complex(math.nan, 0.0), 1.0]))
+
+
+@pytest.mark.parametrize("given", [INF_STATE, as_arrays(INF_STATE), NAN_ROWS],
+                         ids=["inf-StateVector", "inf-ArrayState", "nan-ArrayState"])
+@pytest.mark.parametrize("call", [
+    *(lambda s, c=c: apply_element(s, make_aom(AomSpec("A", M("a", 1), M("b", 0), "x", "y",
+                                                        phase_convention=c)))
+      for c in CONVENTIONS),
+    lambda s: tensor(s, StateVector({FockKet({M("c", 0): 1}): 1.0})),
+    lambda s: tensor(as_arrays(StateVector({FockKet({M("c", 0): 1}): 1.0})), s),
+    lambda s: reduced_density(s, {"a"}),
+    lambda s: entanglement_entropy([s], {"b"}),
+], ids=["lift-unitary", "lift-literal", "tensor-left", "tensor-right", "reduced-density",
+        "entropy"])
+def test_a_non_finite_amplitude_raises_before_a_kernel_multiplies_it(given, call):
+    """Not a silent zero state, NaN amplitudes or a numpy warning (an error under tier-1)."""
+    with pytest.raises(NonFiniteError, match="an amplitude is not a finite number"):
+        call(given)
 
 
 def test_cli_exits_1_when_a_chain_exceeds_the_term_budget(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Heralding primitives and the two built-in experiments."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,31 @@ def test_herald_rule_validation():
         HeraldRule([({"a"}, -1)])
     with pytest.raises(ValueError):
         HeraldRule([(set(), 1)])
+
+
+@pytest.mark.parametrize("clause, message", [
+    (("T1", 1), "a herald clause must be a collection of path names, not the string 'T1'"),
+    (({"a", ""}, 1), "a herald clause holds '', which is not a non-empty path name"),
+    ((("a", 2), 1), "a herald clause holds 2, which is not a non-empty path name"),
+    ((("a",), 1.5), "herald counts must be integers, not 1.5"),
+    ((("a",), "1"), "herald counts must be integers, not '1'"),
+])
+def test_herald_rule_takes_path_names_and_integer_counts(clause, message):
+    """A str clause was read as its characters, and a count went through ``int()``."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HeraldRule([clause])
+    assert HeraldRule([(("a",), np.int64(1))]).clauses == ((frozenset({"a"}), 1),)
+
+
+def test_outcomes_and_restriction_take_path_names():
+    """``"T1'"`` once counted paths T, 1 and ' and kept T1'; a set names the path."""
+    s = run_swap().outcomes[0].conditional_state
+    assert enumerate_outcomes(s, {"T1'"}) == {1: pytest.approx(1.0)}
+    for call in (enumerate_outcomes, restrict_to_paths):
+        with pytest.raises(ValueError, match="collection of path names"):
+            call(s, "T1'")
+        with pytest.raises(ValueError, match="not a non-empty path name"):
+            call(as_arrays(s), [None])
 
 
 @pytest.mark.parametrize("paths, twice", [(("a", "a"), "a"), (["b", "a", "b"], "b"),

@@ -25,7 +25,7 @@ from aomsim import (
     tensor,
 )
 from aomsim.engine import ArrayState
-from aomsim.states import as_arrays
+from aomsim.states import as_arrays, as_state
 from conftest import M, max_amplitude_dev, random_state
 
 SQ2 = 1 / math.sqrt(2)
@@ -79,6 +79,15 @@ def test_mode_label_ordering_and_validation():
     assert [str(m) for m in sorted(modes)] == ["B@5", "a@-3", "a@0", "a@2", "a'@-1", "b@0"]
     with pytest.raises(ValueError):
         M("", 0)
+
+
+def test_mode_label_bin_is_an_integer():
+    """Frequency equality is exact integer equality, so a bin is an integer or raises."""
+    for bad in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="frequency bin must be an integer"):
+            M("a", bad)
+    m = M("a", np.int64(-2))
+    assert m == ("a", -2) and type(m.freq_bin) is int and str(m) == "a@-2"
 
 
 def test_mode_label_is_the_tuple_path_bin():
@@ -274,6 +283,16 @@ def test_a_nan_amplitude_raises_and_is_not_dropped(nan):
         normalize(StateVector({a: nan}))
 
 
+def test_as_state_goes_through_the_state_vector_constructor():
+    """A zero row is dropped, and a NaN row raises where it was once dropped silently."""
+    modes = (M("a", 0), M("b", 0))
+    occ = np.array([[1, 0], [0, 1]], dtype=np.int8)
+    kept = as_state(ArrayState(modes, occ, np.array([0.0, 1.0])))
+    assert kept.terms == {FockKet({M("b", 0): 1}): 1.0 + 0j}
+    with pytest.raises(NonFiniteError, match="NaN"):
+        as_state(ArrayState(modes, occ, np.array([complex(math.nan, 0.0), 1.0])))
+
+
 def test_exact_zeros_are_still_dropped():
     a, b = FockKet({M("a", 0): 1}), FockKet({M("b", 0): 1})
     s = StateVector({a: complex(-0.0, 0.0), b: 5e-324, FockKet(): complex(0.0, -5e-324)})
@@ -308,6 +327,18 @@ def test_reduced_density_is_valid_density_operator(seed):
     lam = rho.eigenvalues()
     assert lam.min() >= -1e-12
     assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [reduced_density, entanglement_entropy])
+@pytest.mark.parametrize("paths, bad", [("a'", "string \"a'\""), ({"a", ""}, "''"),
+                                        (["a", 3], "3")])
+def test_a_path_set_is_a_collection_of_names(call, paths, bad):
+    """A str would be read by ``in`` as its substrings: "a'" would keep path a."""
+    s = tensor(bell("a", "a'"), ket([M("b", 0)]))
+    with pytest.raises(ValueError, match=bad):
+        call(s, paths)
+    with pytest.raises(ValueError, match=bad):
+        call([], paths)
 
 
 def test_reduced_density_zero_state_raises():
