@@ -268,12 +268,19 @@ def enumerate_outcomes(s: StateVector, paths: set[str] | frozenset[str]) -> dict
 
 @engine.memo_small
 def _restriction(occ, modes: tuple, keep: frozenset):
-    """Columns on the paths ``keep`` and their occupations, once the rest is one common factor."""
+    """Columns on the paths ``keep``, the row order, and the kept occupations in that order.
+
+    The rest must be one common factor.  The kept rows are sorted again:
+    once a dropped column that holds photons is gone, a row with no photon
+    left on ``keep`` is the vacuum, which sorts first.
+    """
     kept = [m[0] in keep for m in modes]
     rest = occ[:, [not k for k in kept]]
     if (rest != rest[:1]).any():
         raise FactorizationError("state does not factor across the requested path split")
-    return tuple(m for m, k in zip(modes, kept) if k), occ[:, kept]
+    occ = occ[:, kept]
+    order = engine.ket_order(occ)
+    return tuple(m for m, k in zip(modes, kept) if k), order, occ[order]
 
 
 def restrict_to_paths(s: StateVector | ArrayState, keep: set[str] | frozenset[str]
@@ -284,15 +291,15 @@ def restrict_to_paths(s: StateVector | ArrayState, keep: set[str] | frozenset[st
     the dropped paths (e.g. a resolved herald); raises
     :class:`FactorizationError` (also a ``ValueError``) otherwise, because
     the restriction would not be a pure state.  An :class:`ArrayState` (also
-    a batch) keeps its amplitudes and the columns on ``keep``; a
-    :class:`StateVector` is restricted on its rows.  ``keep`` is a collection
-    of path names, not a bare ``str``.
+    a batch) keeps its amplitudes and the columns on ``keep``, rows in ket
+    order; a :class:`StateVector` is restricted on its rows.  ``keep`` is a
+    collection of path names, not a bare ``str``.
     """
     keep = frozenset(_path_names(keep, "keep"))
     if isinstance(s, StateVector):
         return as_state(restrict_to_paths(as_arrays(s), keep))
-    modes, occ = _restriction(s.occ, s.modes, keep)
-    return ArrayState(modes, occ, s.amp, s.non_unitary)
+    modes, order, occ = _restriction(s.occ, s.modes, keep)
+    return ArrayState(modes, occ, engine.select(s.amp, order), s.non_unitary)
 
 
 def _combined_accepted(state: ArrayState, rule: HeraldRule) -> ArrayState | None:

@@ -5,9 +5,10 @@ bin: bin ``n`` stands for the optical frequency ``omega + n * delta`` on an
 implicit grid, so frequency equality is exact integer equality.  A
 :class:`ModeLabel` is a ``tuple`` subclass, so it hashes, compares and sorts
 as the plain tuple ``(path, freq_bin)`` does, at C speed, and compares equal
-to that tuple.  Multi-photon basis states are occupation maps over modes
-(:class:`FockKet`), and a state is a sparse complex-amplitude map over such
-kets (:class:`StateVector`).
+to that tuple.  A multi-photon basis state (:class:`FockKet`) is likewise
+the tuple of its ``(mode, count)`` pairs, sorted by mode with zero counts
+dropped, and compares equal to that tuple; a state is a sparse
+complex-amplitude map over such kets (:class:`StateVector`).
 
 ``StateVector`` is the API boundary of the array engine
 (:mod:`aomsim.engine`), which evolves occupation matrices:
@@ -81,7 +82,7 @@ class ModeLabel(tuple):
     __slots__ = ()
 
     def __new__(cls, path: str, freq_bin: int):
-        if not path:
+        if not isinstance(path, str) or not path:
             raise ValueError("mode path must be a non-empty string")
         try:
             freq_bin = operator.index(freq_bin)
@@ -102,28 +103,32 @@ class ModeLabel(tuple):
         return f"ModeLabel(path={self[0]!r}, freq_bin={self[1]!r})"
 
 
-class FockKet:
+class FockKet(tuple):
     """Canonical multi-photon basis state: occupation counts per mode.
 
-    The representation is unique: zero counts are never stored, and pairs are
-    kept sorted by mode, so two kets are equal iff they describe the same
-    occupations.  Instances are immutable and hashable.
+    A ket is the tuple of its ``(mode, count)`` pairs, sorted by mode with
+    zero counts dropped, so the representation is unique: two kets are
+    equal iff they describe the same occupations.  Hashing, equality and
+    ordering are the tuple's, at C speed, and a ket compares equal to the
+    plain tuple of its pairs.  Each count must pass ``operator.index``.
     """
 
-    __slots__ = ("_pairs", "_hash")
+    __slots__ = ()
 
-    def __init__(self, occupations: Mapping[ModeLabel, int] | Iterable[tuple[ModeLabel, int]] = ()):
+    def __new__(cls, occupations: Mapping[ModeLabel, int] | Iterable[tuple[ModeLabel, int]] = ()):
         items = occupations.items() if isinstance(occupations, Mapping) else occupations
         merged: dict[ModeLabel, int] = {}
         for mode, count in items:
-            if count == 0:
-                continue
-            if count < 0 or count != int(count):
+            try:
+                count = operator.index(count)
+            except TypeError:
+                raise ValueError(
+                    f"occupation count for {mode} must be an integer, not {count!r}") from None
+            if count < 0:
                 raise ValueError(f"occupation count for {mode} must be a positive integer")
-            merged[mode] = merged.get(mode, 0) + int(count)
-        pairs = tuple(sorted(merged.items()))
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_hash", hash(pairs))
+            if count:
+                merged[mode] = merged.get(mode, 0) + count
+        return tuple.__new__(cls, sorted(merged.items()))
 
     @classmethod
     def from_modes(cls, modes: Iterable[ModeLabel]) -> FockKet:
@@ -132,45 +137,33 @@ class FockKet:
 
     @property
     def pairs(self) -> tuple[tuple[ModeLabel, int], ...]:
-        return self._pairs
+        return tuple(self)
 
     def items(self) -> tuple[tuple[ModeLabel, int], ...]:
-        return self._pairs
+        return tuple(self)
 
     def count(self, mode: ModeLabel) -> int:
-        for m, n in self._pairs:
+        for m, n in self:
             if m == mode:
                 return n
         return 0
 
     def total_photons(self) -> int:
-        return sum(n for _, n in self._pairs)
+        return sum(n for _, n in self)
 
     def modes(self) -> tuple[ModeLabel, ...]:
-        return tuple(m for m, _ in self._pairs)
+        return tuple(m for m, _ in self)
 
     def paths(self) -> frozenset[str]:
-        return frozenset(m.path for m, _ in self._pairs)
+        return frozenset(m.path for m, _ in self)
 
     def count_on_paths(self, paths: frozenset[str] | set[str]) -> int:
-        return sum(n for m, n in self._pairs if m.path in paths)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockKet) and self._pairs == other._pairs
-
-    def __lt__(self, other: FockKet) -> bool:
-        return self._pairs < other._pairs
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockKet is immutable")
+        return sum(n for m, n in self if m.path in paths)
 
     def __repr__(self) -> str:
-        if not self._pairs:
+        if not self:
             return "|vac>"
-        body = " ".join(f"{m}" if n == 1 else f"{m}*{n}" for m, n in self._pairs)
+        body = " ".join(f"{m}" if n == 1 else f"{m}*{n}" for m, n in self)
         return f"|{body}>"
 
 
@@ -195,7 +188,7 @@ class StateVector:
         self.terms = {k: c for k, c in terms.items() if c}
 
     def sorted_items(self) -> list[tuple[FockKet, complex]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].pairs)
+        return sorted(self.terms.items(), key=operator.itemgetter(0))
 
     def amplitude(self, k: FockKet) -> complex:
         return self.terms.get(k, 0j)
@@ -284,8 +277,8 @@ def as_arrays(s: StateVector | ArrayState) -> ArrayState:
     """
     if isinstance(s, ArrayState):
         return s
-    columns = tuple(sorted({m for k in s.terms for m, _ in k._pairs}))
-    occ = engine.occupations([k._pairs for k in s.terms], columns)
+    columns = tuple(sorted({m for k in s.terms for m, _ in k}))
+    occ = engine.occupations(list(s.terms), columns)
     amp = np.array(list(s.terms.values()), dtype=complex).reshape(len(s.terms))
     order = engine.ket_order(occ)
     return ArrayState(columns, occ[order], amp[order], s.non_unitary)
@@ -324,18 +317,13 @@ def row_pieces(modes: tuple[ModeLabel, ...], occ: np.ndarray, piece) -> tuple[li
 
 
 def kets(modes: tuple[ModeLabel, ...], occ: np.ndarray) -> list[FockKet]:
-    """One ket per occupation row, built in one batch; kets share their pairs."""
-    new, set_pairs, set_hash = object.__new__, FockKet._pairs.__set__, FockKet._hash.__set__
+    """One ket per occupation row, built in one batch; kets share their pairs.
+
+    Each row's pairs are already canonical, so a ket is built by
+    ``tuple.__new__`` without ``FockKet``'s checks.
+    """
     pairs, ends = row_pieces(modes, occ, lambda mode, n: (mode, n))
-    pairs = tuple(pairs)  # each row's slice is then its ket's pairs
-    out = []
-    for a, b in zip([0, *ends], ends):
-        ket_pairs = pairs[a:b]
-        k = new(FockKet)
-        set_pairs(k, ket_pairs)
-        set_hash(k, hash(ket_pairs))
-        out.append(k)
-    return out
+    return [tuple.__new__(FockKet, pairs[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def as_state(a: ArrayState) -> StateVector:
@@ -500,7 +488,7 @@ def _entropy(eigenvalues: list[float]) -> float:
 @engine.memo_small
 def _row_of(occ, modes: tuple, k: FockKet) -> int | None:
     """The row of ket ``k`` in an occupation matrix over ``modes``, or None."""
-    counts = dict(k.pairs)
+    counts = dict(k)
     row = [counts.pop(m, 0) for m in modes]
     rows = occ.tolist()
     if counts or row not in rows:  # a mode of k is not a column, or no row matches

@@ -273,6 +273,18 @@ def test_restrict_refuses_entangled_cut():
     assert isinstance(exc.value, SimulatorError)
 
 
+def test_restrict_keeps_ket_order_when_a_dropped_column_sorts_last():
+    """A row left with no photon on ``keep`` becomes the vacuum, which sorts first."""
+    s = StateVector({FockKet({M("z", 0): 1}): 0.6, FockKet({M("p", 0): 1, M("z", 0): 1}): 0.8})
+    r = restrict_to_paths(as_arrays(s), {"p"})
+    assert r.occ.tolist() == [[0], [1]] and r.amp.tolist() == [0.6, 0.8]
+    assert engine.ket_order(r.occ).tolist() == [0, 1]
+    assert list(restrict_to_paths(s, {"p"}).terms) == [FockKet(), FockKet({M("p", 0): 1})]
+    a = as_arrays(s)
+    batch = restrict_to_paths(ArrayState(a.modes, a.occ, np.stack([a.amp, 2 * a.amp])), {"p"})
+    assert batch.amp.tolist() == [[0.6, 0.8], [1.2, 1.6]]
+
+
 # ---------------------------------------------------------------- run_swap
 
 

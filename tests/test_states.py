@@ -25,7 +25,7 @@ from aomsim import (
     tensor,
 )
 from aomsim.engine import ArrayState
-from aomsim.states import as_arrays, as_state
+from aomsim.states import as_arrays, as_state, kets
 from conftest import M, max_amplitude_dev, random_state
 
 SQ2 = 1 / math.sqrt(2)
@@ -115,6 +115,67 @@ def test_fock_ket_canonical_and_immutable():
         k.pairs = ()
     with pytest.raises(ValueError):
         FockKet({M("a", 0): -1})
+
+
+def test_mode_label_path_is_a_non_empty_string():
+    for bad in (3, ("a",), None, ""):
+        with pytest.raises(ValueError, match="mode path must be a non-empty string"):
+            M(bad, 0)
+
+
+def test_fock_ket_count_is_an_integer():
+    """Counts go through ``operator.index``, as bins and herald counts do."""
+    for bad, shown in ((2.0, "2.0"), ("1", "'1'"), (1.5, "1.5"), (None, "None")):
+        with pytest.raises(ValueError, match=f"count for a@0 must be an integer, not {shown}"):
+            FockKet({M("a", 0): bad})
+    with pytest.raises(ValueError, match="count for a@0 must be a positive integer"):
+        FockKet({M("a", 0): -1})
+    k = FockKet({M("a", 0): np.int64(2)})
+    assert k == FockKet({M("a", 0): 2}) and type(k.count(M("a", 0))) is int
+
+
+def _random_kets(rng, n: int) -> list[FockKet]:
+    modes = [M(p, b) for p in ("a", "a'", "b") for b in (-1, 0, 2)]
+    picks = (rng.integers(0, len(modes), rng.integers(0, 5)) for _ in range(n))
+    return [FockKet.from_modes(modes[int(i)] for i in row) for row in picks]
+
+
+def test_fock_ket_is_the_tuple_of_its_pairs():
+    k = FockKet({M("b", 1): 2, M("a", 0): 1})
+    assert isinstance(k, tuple) and len(k) == 2
+    assert k == ((M("a", 0), 1), (M("b", 1), 2)) == k.pairs == tuple(k) == k.items()
+    assert hash(k) == hash(tuple(k)) and list(k) == list(k.pairs)
+    assert FockKet() == () and repr(FockKet()) == "|vac>"
+
+
+def test_fock_kets_compare_and_sort_as_their_pairs():
+    rng = np.random.default_rng(25)
+    kets_ = _random_kets(rng, 60)
+    assert sorted(kets_) == sorted(kets_, key=lambda k: k.pairs)
+    for a, b in zip(kets_, kets_[1:]):
+        for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"):
+            assert getattr(a, op)(b) == getattr(a.pairs, op)(b.pairs)
+
+
+def test_kets_from_rows_equal_kets_built_one_by_one():
+    rng = np.random.default_rng(7)
+    modes = (M("a", -1), M("a", 0), M("b", 0), M("c", 3))
+    for rows in (0, 1, 5, 32, 33, 80):  # both sides of row_pieces' list branch
+        occ = rng.integers(0, 4, size=(rows, len(modes))).astype(np.int8)
+        built = kets(modes, occ)
+        assert all(type(k) is FockKet for k in built)
+        expected = [FockKet(zip(modes, row)) for row in occ.tolist()]
+        assert built == expected
+        assert [hash(k) for k in built] == [hash(k) for k in expected]
+
+
+def test_fock_ket_survives_copy_and_pickle():
+    k = FockKet({M("T1'", -2): 1, M("a", 0): 3})
+    clones = [copy.copy(k), copy.deepcopy(k)]
+    clones += [pickle.loads(pickle.dumps(k, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert clone == k and type(clone) is FockKet and hash(clone) == hash(k)
+        assert repr(clone) == "|T1'@-2 a@0*3>"
 
 
 # ---------------------------------------------------------------- tensor
